@@ -44,7 +44,7 @@ from .inference import (
 
 # Batch size for vectorized search over candidate mixtures; bounds peak
 # memory at roughly batch * n_grid_points * 8 bytes per temporary.
-_SEARCH_CHUNK = 4096
+_SEARCH_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -335,13 +335,12 @@ def mle_belief(queries: Sequence[Query], cfg: MleSearchConfig, qg: QueryGrid,
 
 
 def _l2_policy_matrix(ensemble: BeliefEnsemble, qg: QueryGrid, grid: ThetaGrid,
-                      beta_a: float, form: str) -> np.ndarray:
-    """(J, C) matrix of each particle's level-2 query policy."""
-    rows = []
-    for bp in ensemble.particles:
-        b = discretize_belief(bp, grid)
-        rows.append(l2_query_policy(b, qg, beta_a, form).probs)
-    return np.stack(rows, axis=0)
+                      beta_a: float, form: str) -> tuple[np.ndarray, np.ndarray]:
+    """(J, C) gain maps and (J, C) level-2 query policies of the particles."""
+    maps = np.stack([eig_map(discretize_belief(bp, grid), qg, form)
+                     for bp in ensemble.particles])
+    policies = np.stack([softmax_policy(m, beta_a) for m in maps])
+    return maps, policies
 
 
 def tom_posterior(ensemble: BeliefEnsemble, observed: Query, qg: QueryGrid,
@@ -353,7 +352,7 @@ def tom_posterior(ensemble: BeliefEnsemble, observed: Query, qg: QueryGrid,
     of the observed query.
     """
     idx = qg.index_of(observed)
-    lik = _l2_policy_matrix(ensemble, qg, grid, beta_a, form)[:, idx]
+    lik = _l2_policy_matrix(ensemble, qg, grid, beta_a, form)[1][:, idx]
     unnorm = ensemble.weights * lik
     total = float(np.sum(unnorm))
     if total <= 0.0:
@@ -470,10 +469,8 @@ def l4_query_policy(true_index: int, ensemble: BeliefEnsemble, lam: float,
         raise InvalidInputError(f"true_index {true_index} out of range")
     if not 0.0 <= lam <= 1.0:
         raise InvalidInputError(f"lambda must be in [0, 1], got {lam}")
-    pmat = _l2_policy_matrix(ensemble, qg, grid, beta_a, form)
-    b_true = discretize_belief(ensemble.particles[true_index], grid)
-    emap_true = eig_map(b_true, qg, form)
-    u = _l4_utilities(true_index, ensemble, lam, pmat, emap_true)
+    maps, pmat = _l2_policy_matrix(ensemble, qg, grid, beta_a, form)
+    u = _l4_utilities(true_index, ensemble, lam, pmat, maps[true_index])
     return QueryPolicy(qg, softmax_policy(u, beta_a))
 
 
@@ -489,12 +486,11 @@ def bayes_factor(q: Query, ensemble: BeliefEnsemble, beta_a: float, lam: float,
     if not 0.0 <= lam <= 1.0:
         raise InvalidInputError(f"lambda must be in [0, 1], got {lam}")
     idx = qg.index_of(q)
-    pmat = _l2_policy_matrix(ensemble, qg, grid, beta_a, form)
+    maps, pmat = _l2_policy_matrix(ensemble, qg, grid, beta_a, form)
     numerator = float(np.sum(ensemble.weights * pmat[:, idx]))
     denominator = 0.0
-    for j, bp in enumerate(ensemble.particles):
-        emap_j = eig_map(discretize_belief(bp, grid), qg, form)
-        u = _l4_utilities(j, ensemble, lam, pmat, emap_j)
+    for j in range(len(ensemble.particles)):
+        u = _l4_utilities(j, ensemble, lam, pmat, maps[j])
         denominator += float(ensemble.weights[j]) * float(softmax_policy(u, beta_a)[idx])
     if denominator <= 0.0:
         raise ImpossibleEvidenceError("level-4 marginal likelihood underflowed to zero")

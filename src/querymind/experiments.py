@@ -255,6 +255,7 @@ def run_belief_correction(cfg: ScenarioConfig) -> RunReport:
     the posterior mass they would produce on the true parameter under the
     learner's actual belief.
     """
+    target = cfg.theta_grid.index_of(cfg.theta_true)
     report = RunReport(kind="belief_correction", config=cfg)
     t0 = time.perf_counter()
     false_belief = discretize_belief(cfg.prior, cfg.theta_grid)
@@ -287,8 +288,6 @@ def run_belief_correction(cfg: ScenarioConfig) -> RunReport:
 
     report.argmax_uniform = take_argmax(u_uniform)
     report.argmax_adaptive = take_argmax(u_adaptive)
-
-    target = cfg.theta_grid.index_of(cfg.theta_true)
 
     def learner_mass(ex: LabeledExample) -> float:
         post = posterior_update(false_belief, ex.query, ex.y, cfg.reward_form)

@@ -2,12 +2,21 @@
 
 Everything operates on finite grids, so expectations are plain sums and the
 expected information gain of a query is computed exactly rather than
-estimated.  All reductions use fixed-order ``np.sum`` (never BLAS), which
-keeps results bit-identical across thread counts.
+estimated.  All reductions are fixed-order ``np.sum`` or ``np.einsum`` loops
+(never BLAS: no ``@``, ``dot`` or ``einsum(optimize=...)``), which keeps
+results bit-identical across thread counts.
+
+Gain maps over a whole query grid use the mutual-information ("dual") form
+``EIG(q) = H_b(L_q . m) - m . H_b(L_q)``: two ``einsum("ck,k->c", ...)``
+products of the belief mass with a cached, read-only table of the answer
+likelihoods ``L`` and their binary entropies ``H_b(L)``.  The table holds only
+the pairs with ``x1 < x2``; a swapped pair has the same gain and a diagonal
+pair has none.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,11 +27,16 @@ from .model import (
     GridBelief,
     InvalidInputError,
     Query,
+    ThetaGrid,
     _require_finite,
     _require_form,
 )
 
 LN2 = float(np.log(2.0))
+
+# Candidate pairs per block while a gain table is built; bounds each
+# temporary at about _TABLE_BLOCK * n_points * 8 bytes.
+_TABLE_BLOCK = 256
 
 
 class ImpossibleEvidenceError(RuntimeError):
@@ -188,12 +202,52 @@ def eig_rows(mass: np.ndarray, lik1: np.ndarray) -> np.ndarray:
     return p1 * (prior_h - h1) + p0 * (prior_h - h0)
 
 
+def _binary_entropy(p: np.ndarray) -> np.ndarray:
+    """Entropy in nats of a binary answer with ``P(y=1) = p``, clipped to [0, 1]."""
+    p = np.clip(p, 0.0, 1.0)
+    q = 1.0 - p
+    return -(xlogy(p, p) + xlogy(q, q))
+
+
+@functools.lru_cache(maxsize=8)
+def _gain_table(grid: ThetaGrid, qg: QueryGrid, form: str):
+    """Read-only ``(upper, lower, L, H_b(L))`` over the pairs with ``x1 < x2``.
+
+    ``upper`` and ``lower`` are the candidate indices of each pair and of its
+    swap; ``L`` is the (P, K) matrix of answer-1 likelihoods.  Built lazily, in
+    row blocks, once per (theta grid, query grid, reward form).
+    """
+    n = qg.n_per_axis
+    i, j = np.triu_indices(n, k=1)
+    upper = i * n + j
+    lower = j * n + i
+    pairs = qg.candidates[upper]
+    points = grid.points
+    lik = np.empty((upper.size, points.size))
+    h_lik = np.empty_like(lik)
+    for start in range(0, upper.size, _TABLE_BLOCK):
+        block = slice(start, start + _TABLE_BLOCK)
+        lik[block] = likelihood_matrix(points, pairs[block], form)
+        h_lik[block] = _binary_entropy(lik[block])
+    for a in (upper, lower, lik, h_lik):
+        a.flags.writeable = False
+    return upper, lower, lik, h_lik
+
+
 def eig_map(b: GridBelief, qg: QueryGrid, form: str = ABSOLUTE_DISTANCE) -> np.ndarray:
-    """Expected information gain of every candidate, in enumeration order."""
-    cands = qg.candidates
-    lik1 = likelihood_matrix(b.grid.points, cands, form)
-    out = eig_rows(b.mass[None, :], lik1)
-    out[cands[:, 0] == cands[:, 1]] = 0.0
+    """Expected information gain of every candidate, in enumeration order.
+
+    Dual form ``H_b(L . m) - m . H_b(L)``: no posterior is normalized, so a
+    point-mass belief gives a finite (zero) map.  Swapped pairs get identical
+    values and diagonal pairs exactly 0.
+    """
+    _require_form(form)
+    upper, lower, lik, h_lik = _gain_table(b.grid, qg, form)
+    gain = (_binary_entropy(np.einsum("ck,k->c", lik, b.mass))
+            - np.einsum("ck,k->c", h_lik, b.mass))
+    out = np.zeros(qg.n_candidates)
+    out[upper] = gain
+    out[lower] = gain
     return out
 
 

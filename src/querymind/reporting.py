@@ -61,14 +61,25 @@ def write_queries_csv(queries: Sequence[Query], path: str | os.PathLike) -> None
 
 
 def read_queries_csv(path: str | os.PathLike) -> list[Query]:
+    """Queries from an ``x1,x2`` CSV; blank lines are skipped.
+
+    A malformed row raises ``ValueError("<path>:<line>: ...")``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0].split(",")[:2] != ["x1", "x2"]:
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, start=1) if ln.strip()]
+    header = lines[0][1].split(",") if lines else []
+    if header[:2] != ["x1", "x2"]:
         raise ValueError(f"{path}: expected header 'x1,x2'")
+    n_cols = len(header)
     out = []
-    for ln in lines[1:]:
+    for n, ln in lines[1:]:
         parts = ln.split(",")
-        out.append(Query(float(parts[0]), float(parts[1])))
+        if len(parts) != n_cols:
+            raise ValueError(f"{path}:{n}: expected {n_cols} columns, got {len(parts)}")
+        try:
+            out.append(Query(float(parts[0]), float(parts[1])))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{n}: {exc}") from exc
     return out
 
 

@@ -252,7 +252,7 @@ class TestTomPosterior:
         ens = two_particle_ensemble()
         q = Query(-5.5, 6.0)
         idx = QG.index_of(q)
-        lik = _l2_policy_matrix(ens, QG, TG, 50.0, "absolute_distance")[:, idx]
+        lik = _l2_policy_matrix(ens, QG, TG, 50.0, "absolute_distance")[1][:, idx]
         expected = ens.weights * lik / np.sum(ens.weights * lik)
         post = tom_posterior(ens, q, QG, TG, 50.0)
         np.testing.assert_allclose(post.weights, expected, atol=1e-12)
@@ -378,7 +378,7 @@ class TestL4:
     def test_lambda_one_argmax_favors_identifiability_ratio(self):
         ens = two_particle_ensemble()
         L4 = l4_query_policy(0, ens, 1.0, QG, TG, 50.0)
-        pmat = _l2_policy_matrix(ens, QG, TG, 50.0, "absolute_distance")
+        _, pmat = _l2_policy_matrix(ens, QG, TG, 50.0, "absolute_distance")
         ratio = ens.weights[0] * pmat[0] / (ens.weights[0] * pmat[0]
                                             + ens.weights[1] * pmat[1])
         assert int(np.argmax(L4.probs)) == int(np.argmax(ratio))

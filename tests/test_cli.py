@@ -120,6 +120,14 @@ class TestEstimateAndIntent:
                                 QueryGrid(-6.0, 6.0, 49), ThetaGrid(-6.0, 6.0, 241))
         assert fmt_real(expected) in printed
 
+    def test_estimate_belief_malformed_csv_is_runtime_error(self, tmp_path, fast_config,
+                                                            capsys):
+        qcsv = tmp_path / "qs.csv"
+        qcsv.write_text("x1,x2\n-5.5,6\n-4\n")
+        code = main(["estimate-belief", "--queries", str(qcsv), "--config", fast_config])
+        assert code == 2
+        assert f"{qcsv}:3: expected 2 columns, got 1" in capsys.readouterr().err
+
     def test_intent_bf_bad_query_is_runtime_error(self, capsys):
         assert main(["intent-bf", "--query", "oops"]) == 2
 

@@ -122,6 +122,18 @@ class TestCsvWriters:
         with pytest.raises(ValueError):
             read_queries_csv(path)
 
+    @pytest.mark.parametrize("row, problem", [("1.5", "expected 2 columns, got 1"),
+                                              ("1,2,3", "expected 2 columns, got 3"),
+                                              ("1,abc", "abc"),
+                                              ("nan,2", "x1 must be finite")])
+    def test_queries_csv_bad_row_names_file_and_line(self, tmp_path, row, problem):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x1,x2\n-1,2\n\n{row}\n")
+        with pytest.raises(ValueError) as info:
+            read_queries_csv(path)
+        assert str(info.value).startswith(f"{path}:4: ")
+        assert problem in str(info.value)
+
 
 class TestHeatmap:
     def test_rect_count_and_determinism(self, tmp_path):

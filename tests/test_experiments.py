@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from querymind.model import BeliefParams, Query, discretize_belief
+from querymind import experiments
+from querymind.model import BeliefParams, InvalidInputError, Query, discretize_belief
 from querymind.inference import QueryGrid, posterior_update
 from querymind.experiments import (
     ConfigError,
@@ -101,6 +102,18 @@ class TestBeliefCorrection:
     def test_deterministic(self):
         cfg = ScenarioConfig(seed=5)
         assert run_belief_correction(cfg).to_json() == run_belief_correction(cfg).to_json()
+
+    def test_off_grid_theta_true_rejected_before_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("attribution search ran before theta_true was checked")
+
+        monkeypatch.setattr(experiments, "mle_belief", no_search)
+        with pytest.raises(InvalidInputError, match="theta 7.5 outside grid"):
+            run_belief_correction(ScenarioConfig(theta_true=7.5))
+
+    def test_off_grid_theta_true_allowed_for_honest_teacher_loop(self):
+        rep = run_interaction_loop(ScenarioConfig(theta_true=7.5, query_grid=SMALL_QG), 2, 1, 2)
+        assert len(rep.trace) == 2
 
     @pytest.mark.xfail(
         strict=True,

@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import querymind
+from querymind.agents import l2_query_policy
 from querymind.model import (
     ABSOLUTE_DISTANCE,
+    REWARD_FORMS,
     BeliefParams,
     GridBelief,
     InvalidInputError,
@@ -198,6 +204,74 @@ class TestEigMap:
         for i in range(n):
             for j in range(n):
                 assert abs(emap[i * n + j] - emap[j * n + i]) <= 1e-12
+
+
+class TestDualFormEigMap:
+    QG = QueryGrid(-6.0, 6.0, 15)
+
+    @pytest.mark.parametrize("form", REWARD_FORMS)
+    @pytest.mark.parametrize("cell", [0, 50, 120, 240])
+    def test_point_mass_map_finite_with_zero_diagonal(self, default_grid, form, cell):
+        qg = QueryGrid(-6.0, 6.0, 49)
+        mass = np.zeros(default_grid.n_points)
+        mass[cell] = 1.0
+        b = GridBelief(default_grid, mass)
+        emap = eig_map(b, qg, form)
+        assert np.all(np.isfinite(emap))
+        cands = qg.candidates
+        assert np.all(emap[cands[:, 0] == cands[:, 1]] == 0.0)
+        policy = l2_query_policy(b, qg, 50.0, form)
+        assert abs(float(policy.probs.sum()) - 1.0) <= 1e-9
+
+    def test_mass_sum_rounding_above_one_stays_finite(self, default_grid):
+        # GridBelief accepts sums within 1e-9 of 1; where every likelihood on
+        # the support is exactly 1, the predictive probability exceeds 1.
+        mass = np.zeros(default_grid.n_points)
+        mass[[-2, -1]] = [0.5, 0.5 + 1e-10]
+        b = GridBelief(default_grid, mass)
+        qg = QueryGrid(-6.0, 6.0, 49)
+        assert np.all(np.isfinite(eig_map(b, qg, "squared_distance")))
+        l2_query_policy(b, qg, 50.0, "squared_distance")
+
+    @pytest.mark.parametrize("form", REWARD_FORMS)
+    def test_exact_swap_symmetry(self, default_grid, form):
+        rng = np.random.default_rng(43)
+        n = self.QG.n_per_axis
+        for _ in range(3):
+            emap = eig_map(random_belief(rng, default_grid), self.QG, form).reshape(n, n)
+            assert np.array_equal(emap, emap.T)
+
+    @pytest.mark.parametrize("form", REWARD_FORMS)
+    def test_matches_scalar_expected_info_gain(self, default_grid, form):
+        rng = np.random.default_rng(47)
+        for _ in range(3):
+            b = random_belief(rng, default_grid)
+            emap = eig_map(b, self.QG, form)
+            for idx in range(self.QG.n_candidates):
+                scalar = expected_info_gain(b, self.QG.query_at(idx), form)
+                assert abs(emap[idx] - scalar) <= 1e-12
+
+    def test_bytes_identical_across_blas_thread_counts(self):
+        code = (
+            "import hashlib, numpy as np, querymind as qm\n"
+            "tg = qm.ThetaGrid(-6.0, 6.0, 241)\n"
+            "qg = qm.QueryGrid(-6.0, 6.0, 49)\n"
+            "h = hashlib.sha256()\n"
+            "for form in qm.REWARD_FORMS:\n"
+            "    for pz in (0.9, 0.5):\n"
+            "        b = qm.discretize_belief(qm.BeliefParams(-3.0, 1.0, 3.0, 1.0, pz), tg)\n"
+            "        h.update(qm.eig_map(b, qg, form).tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(querymind.__file__)))
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                       OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                  capture_output=True, text=True)
+            digests.add(done.stdout.strip())
+        assert len(digests) == 1
 
 
 class TestSoftmaxPolicy:
