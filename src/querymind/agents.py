@@ -195,7 +195,9 @@ def _summed_eig_batch(mass: np.ndarray, lik1: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             h1 = np.log(s1) - q1 / s1
             h0 = np.log(s0) - q0 / s0
-        total += s1 * (-neg_h - h1) + s0 * (-neg_h - h0)
+        # An answer with zero predictive probability adds its limit, 0.
+        total += (np.where(s1 > 0, s1 * (-neg_h - h1), 0.0)
+                  + np.where(s0 > 0, s0 * (-neg_h - h0), 0.0))
     return total
 
 
@@ -378,6 +380,29 @@ def l3_teaching_utility(tc: LabeledExample, theta_true: float, prior: GridBelief
     return float(post.mass[target])
 
 
+def _teaching_utility_table(theta_true: float, priors: Sequence[GridBelief],
+                            weights: Sequence[float] | None,
+                            cands: np.ndarray, form: str) -> np.ndarray:
+    """(C, 2) ensemble-averaged posterior mass on the true ideal point's cell
+    after each candidate query is answered ``y = 0`` (column 0) or 1."""
+    if len(priors) == 0:
+        raise InvalidInputError("need at least one learner-belief particle")
+    if weights is None:
+        w = np.full(len(priors), 1.0 / len(priors))
+    else:
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != (len(priors),) or np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-9:
+            raise InvalidInputError("weights must be nonnegative and sum to 1")
+    total = np.zeros((cands.shape[0], 2))
+    for weight, prior in zip(w, priors):
+        target = prior.grid.index_of(theta_true)
+        lik1 = likelihood_matrix(prior.grid.points, cands, form)
+        for y, lik in ((0, 1.0 - lik1), (1, lik1)):
+            t = prior.mass[None, :] * lik
+            total[:, y] += weight * (t[:, target] / np.sum(t, axis=1))
+    return total
+
+
 def l3_teaching_utilities(theta_true: float, priors: Sequence[GridBelief],
                           weights: Sequence[float] | None, qg: QueryGrid,
                           form: str = ABSOLUTE_DISTANCE) -> np.ndarray:
@@ -387,28 +412,7 @@ def l3_teaching_utilities(theta_true: float, priors: Sequence[GridBelief],
     candidate ``c``.  Expectation is over the teacher's uncertainty about the
     learner's belief, given as grid beliefs with weights.
     """
-    if len(priors) == 0:
-        raise InvalidInputError("need at least one learner-belief particle")
-    if weights is None:
-        w = np.full(len(priors), 1.0 / len(priors))
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (len(priors),) or np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-9:
-            raise InvalidInputError("weights must be nonnegative and sum to 1")
-    cands = qg.candidates
-    total = np.zeros(2 * cands.shape[0])
-    for weight, prior in zip(w, priors):
-        target = prior.grid.index_of(theta_true)
-        lik1 = likelihood_matrix(prior.grid.points, cands, form)
-        t1 = prior.mass[None, :] * lik1
-        p1 = np.sum(t1, axis=1)
-        u1 = t1[:, target] / p1
-        t0 = prior.mass[None, :] * (1.0 - lik1)
-        p0 = np.sum(t0, axis=1)
-        u0 = t0[:, target] / p0
-        total[0::2] += weight * u0
-        total[1::2] += weight * u1
-    return total
+    return _teaching_utility_table(theta_true, priors, weights, qg.candidates, form).ravel()
 
 
 def l3_teaching_policy(theta_true: float, priors: Sequence[GridBelief],
@@ -422,18 +426,8 @@ def l3_answer_policy(theta_true: float, q: Query, priors: Sequence[GridBelief],
                      weights: Sequence[float] | None, beta_h: float,
                      form: str = ABSOLUTE_DISTANCE) -> float:
     """Probability that a strategic teacher answers ``y = 1`` to a fixed query."""
-    if len(priors) == 0:
-        raise InvalidInputError("need at least one learner-belief particle")
-    if weights is None:
-        w = np.full(len(priors), 1.0 / len(priors))
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-    u = np.zeros(2)
-    for weight, prior in zip(w, priors):
-        for y in (0, 1):
-            u[y] += weight * l3_teaching_utility(LabeledExample(q, y), theta_true, prior, form)
-    probs = softmax_policy(u, beta_h)
-    return float(probs[1])
+    u = _teaching_utility_table(theta_true, priors, weights, np.array([[q.x1, q.x2]]), form)
+    return float(softmax_policy(u[0], beta_h)[1])
 
 
 def l4_utility(q: Query, true_index: int, ensemble: BeliefEnsemble, qg: QueryGrid,

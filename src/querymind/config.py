@@ -8,11 +8,11 @@ back to an equal config.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
+from functools import reduce
 from typing import Callable
 
-from .model import REWARD_FORMS, BeliefParams, ThetaGrid
-from .inference import QueryGrid
-from .agents import MleSearchConfig, ParamRange
+from .model import REWARD_FORMS
 from .experiments import ConfigError, ScenarioConfig
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
@@ -26,134 +26,82 @@ def _parse_bool(raw: str) -> bool:
         raise ValueError(f"not a boolean: {raw!r}") from None
 
 
-def _positive(v) -> bool:
-    return v > 0
+# (check, description) pairs shared by several keys; None means unchecked.
+_ANY = (None, "")
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
+_NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
+_UNIT_INTERVAL = (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
 
-
-def _nonnegative(v) -> bool:
-    return v >= 0
-
-
-def _unit_interval(v) -> bool:
-    return 0.0 <= v <= 1.0
-
-
-# key -> (type converter, constraint or None, constraint description);
-# defaults come from ScenarioConfig itself via config_values().
-_KEY_TABLE: dict[str, tuple[Callable, Callable | None, str]] = {
-    "prior.mu1": (float, None, ""),
-    "prior.sigma1": (float, _positive, "must be > 0"),
-    "prior.mu2": (float, None, ""),
-    "prior.sigma2": (float, _positive, "must be > 0"),
-    "prior.p_z": (float, _unit_interval, "must be in [0, 1]"),
-    "run.theta_true": (float, None, ""),
-    "run.n_queries": (int, lambda v: v >= 1, "must be >= 1"),
-    "run.seed": (int, None, ""),
-    "run.selection": (str, lambda v: v in ("sample", "argmax"),
+# The one listing of the config keys: key -> (field path in ScenarioConfig,
+# type converter, constraint or None, constraint description).  Defaults come
+# from ScenarioConfig itself via config_values().
+_KEYS: dict[str, tuple[tuple[str, ...], Callable, Callable | None, str]] = {
+    "prior.mu1": (("prior", "mu1"), float, *_ANY),
+    "prior.sigma1": (("prior", "sigma1"), float, *_POSITIVE),
+    "prior.mu2": (("prior", "mu2"), float, *_ANY),
+    "prior.sigma2": (("prior", "sigma2"), float, *_POSITIVE),
+    "prior.p_z": (("prior", "p_z"), float, *_UNIT_INTERVAL),
+    "run.theta_true": (("theta_true",), float, *_ANY),
+    "run.n_queries": (("n_queries",), int, *_AT_LEAST_1),
+    "run.seed": (("seed",), int, *_ANY),
+    "run.selection": (("selection",), str, lambda v: v in ("sample", "argmax"),
                       "must be 'sample' or 'argmax'"),
-    "run.exact_likelihood": (_parse_bool, None, ""),
-    "agent.beta_a": (float, _nonnegative, "must be >= 0"),
-    "agent.beta_h": (float, _nonnegative, "must be >= 0"),
-    "agent.reward_form": (str, lambda v: v in REWARD_FORMS,
+    "run.exact_likelihood": (("exact_likelihood",), _parse_bool, *_ANY),
+    "agent.beta_a": (("beta_a",), float, *_NONNEGATIVE),
+    "agent.beta_h": (("beta_h",), float, *_NONNEGATIVE),
+    "agent.reward_form": (("reward_form",), str, lambda v: v in REWARD_FORMS,
                           f"must be one of {REWARD_FORMS}"),
-    "grid.theta_lo": (float, None, ""),
-    "grid.theta_hi": (float, None, ""),
-    "grid.theta_points": (int, lambda v: v >= 3, "must be >= 3"),
-    "grid.query_lo": (float, None, ""),
-    "grid.query_hi": (float, None, ""),
-    "grid.query_points": (int, lambda v: v >= 2, "must be >= 2"),
-    "mle.mu1_lo": (float, None, ""),
-    "mle.mu1_hi": (float, None, ""),
-    "mle.mu1_count": (int, _positive, "must be >= 1"),
-    "mle.mu2_lo": (float, None, ""),
-    "mle.mu2_hi": (float, None, ""),
-    "mle.mu2_count": (int, _positive, "must be >= 1"),
-    "mle.sigma1_lo": (float, _positive, "must be > 0"),
-    "mle.sigma1_hi": (float, _positive, "must be > 0"),
-    "mle.sigma1_count": (int, _positive, "must be >= 1"),
-    "mle.sigma2_lo": (float, _positive, "must be > 0"),
-    "mle.sigma2_hi": (float, _positive, "must be > 0"),
-    "mle.sigma2_count": (int, _positive, "must be >= 1"),
-    "mle.p_z_lo": (float, _unit_interval, "must be in [0, 1]"),
-    "mle.p_z_hi": (float, _unit_interval, "must be in [0, 1]"),
-    "mle.p_z_count": (int, _positive, "must be >= 1"),
-    "mle.refine_iters": (int, _nonnegative, "must be >= 0"),
-    "mle.refine_shrink": (float, lambda v: 0.0 < v < 1.0, "must be in (0, 1)"),
+    "grid.theta_lo": (("theta_grid", "lo"), float, *_ANY),
+    "grid.theta_hi": (("theta_grid", "hi"), float, *_ANY),
+    "grid.theta_points": (("theta_grid", "n_points"), int, lambda v: v >= 3, "must be >= 3"),
+    "grid.query_lo": (("query_grid", "feature_lo"), float, *_ANY),
+    "grid.query_hi": (("query_grid", "feature_hi"), float, *_ANY),
+    "grid.query_points": (("query_grid", "n_per_axis"), int, lambda v: v >= 2, "must be >= 2"),
+    "mle.mu1_lo": (("mle", "mu1", "lo"), float, *_ANY),
+    "mle.mu1_hi": (("mle", "mu1", "hi"), float, *_ANY),
+    "mle.mu1_count": (("mle", "mu1", "count"), int, *_AT_LEAST_1),
+    "mle.mu2_lo": (("mle", "mu2", "lo"), float, *_ANY),
+    "mle.mu2_hi": (("mle", "mu2", "hi"), float, *_ANY),
+    "mle.mu2_count": (("mle", "mu2", "count"), int, *_AT_LEAST_1),
+    "mle.sigma1_lo": (("mle", "sigma1", "lo"), float, *_POSITIVE),
+    "mle.sigma1_hi": (("mle", "sigma1", "hi"), float, *_POSITIVE),
+    "mle.sigma1_count": (("mle", "sigma1", "count"), int, *_AT_LEAST_1),
+    "mle.sigma2_lo": (("mle", "sigma2", "lo"), float, *_POSITIVE),
+    "mle.sigma2_hi": (("mle", "sigma2", "hi"), float, *_POSITIVE),
+    "mle.sigma2_count": (("mle", "sigma2", "count"), int, *_AT_LEAST_1),
+    "mle.p_z_lo": (("mle", "p_z", "lo"), float, *_UNIT_INTERVAL),
+    "mle.p_z_hi": (("mle", "p_z", "hi"), float, *_UNIT_INTERVAL),
+    "mle.p_z_count": (("mle", "p_z", "count"), int, *_AT_LEAST_1),
+    "mle.refine_iters": (("mle", "n_refine_iters"), int, *_NONNEGATIVE),
+    "mle.refine_shrink": (("mle", "refine_shrink"), float, lambda v: 0.0 < v < 1.0,
+                          "must be in (0, 1)"),
 }
 
 
 def config_values(cfg: ScenarioConfig) -> dict[str, object]:
     """Flat key -> value view of a resolved config."""
-    return {
-        "prior.mu1": cfg.prior.mu1,
-        "prior.sigma1": cfg.prior.sigma1,
-        "prior.mu2": cfg.prior.mu2,
-        "prior.sigma2": cfg.prior.sigma2,
-        "prior.p_z": cfg.prior.p_z,
-        "run.theta_true": cfg.theta_true,
-        "run.n_queries": cfg.n_queries,
-        "run.seed": cfg.seed,
-        "run.selection": cfg.selection,
-        "run.exact_likelihood": cfg.exact_likelihood,
-        "agent.beta_a": cfg.beta_a,
-        "agent.beta_h": cfg.beta_h,
-        "agent.reward_form": cfg.reward_form,
-        "grid.theta_lo": cfg.theta_grid.lo,
-        "grid.theta_hi": cfg.theta_grid.hi,
-        "grid.theta_points": cfg.theta_grid.n_points,
-        "grid.query_lo": cfg.query_grid.feature_lo,
-        "grid.query_hi": cfg.query_grid.feature_hi,
-        "grid.query_points": cfg.query_grid.n_per_axis,
-        "mle.mu1_lo": cfg.mle.mu1.lo,
-        "mle.mu1_hi": cfg.mle.mu1.hi,
-        "mle.mu1_count": cfg.mle.mu1.count,
-        "mle.mu2_lo": cfg.mle.mu2.lo,
-        "mle.mu2_hi": cfg.mle.mu2.hi,
-        "mle.mu2_count": cfg.mle.mu2.count,
-        "mle.sigma1_lo": cfg.mle.sigma1.lo,
-        "mle.sigma1_hi": cfg.mle.sigma1.hi,
-        "mle.sigma1_count": cfg.mle.sigma1.count,
-        "mle.sigma2_lo": cfg.mle.sigma2.lo,
-        "mle.sigma2_hi": cfg.mle.sigma2.hi,
-        "mle.sigma2_count": cfg.mle.sigma2.count,
-        "mle.p_z_lo": cfg.mle.p_z.lo,
-        "mle.p_z_hi": cfg.mle.p_z.hi,
-        "mle.p_z_count": cfg.mle.p_z.count,
-        "mle.refine_iters": cfg.mle.n_refine_iters,
-        "mle.refine_shrink": cfg.mle.refine_shrink,
-    }
+    return {key: reduce(getattr, path, cfg) for key, (path, *_) in _KEYS.items()}
+
+
+def _replace_paths(obj, changes: dict[tuple[str, ...], object]):
+    """``dataclasses.replace`` at nested field paths.
+
+    Paths that share a parent are applied together, so each nested dataclass
+    is rebuilt (and validated) once, in its final state.
+    """
+    by_field: dict[str, dict[tuple[str, ...], object]] = {}
+    for (name, *rest), value in changes.items():
+        by_field.setdefault(name, {})[tuple(rest)] = value
+    return replace(obj, **{
+        name: sub[()] if () in sub else _replace_paths(getattr(obj, name), sub)
+        for name, sub in by_field.items()})
 
 
 def _build_config(values: dict[str, object]) -> ScenarioConfig:
-    v = values
     try:
-        return ScenarioConfig(
-            prior=BeliefParams(v["prior.mu1"], v["prior.sigma1"], v["prior.mu2"],
-                               v["prior.sigma2"], v["prior.p_z"]),
-            theta_true=v["run.theta_true"],
-            n_queries=v["run.n_queries"],
-            beta_a=v["agent.beta_a"],
-            beta_h=v["agent.beta_h"],
-            reward_form=v["agent.reward_form"],
-            theta_grid=ThetaGrid(v["grid.theta_lo"], v["grid.theta_hi"],
-                                 v["grid.theta_points"]),
-            query_grid=QueryGrid(v["grid.query_lo"], v["grid.query_hi"],
-                                 v["grid.query_points"]),
-            seed=v["run.seed"],
-            mle=MleSearchConfig(
-                mu1=ParamRange(v["mle.mu1_lo"], v["mle.mu1_hi"], v["mle.mu1_count"]),
-                mu2=ParamRange(v["mle.mu2_lo"], v["mle.mu2_hi"], v["mle.mu2_count"]),
-                sigma1=ParamRange(v["mle.sigma1_lo"], v["mle.sigma1_hi"],
-                                  v["mle.sigma1_count"]),
-                sigma2=ParamRange(v["mle.sigma2_lo"], v["mle.sigma2_hi"],
-                                  v["mle.sigma2_count"]),
-                p_z=ParamRange(v["mle.p_z_lo"], v["mle.p_z_hi"], v["mle.p_z_count"]),
-                n_refine_iters=v["mle.refine_iters"],
-                refine_shrink=v["mle.refine_shrink"],
-            ),
-            exact_likelihood=v["run.exact_likelihood"],
-            selection=v["run.selection"],
-        )
+        return _replace_paths(ScenarioConfig(),
+                              {_KEYS[key][0]: value for key, value in values.items()})
     except (ValueError, ConfigError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -174,9 +122,9 @@ def parse_config_text(text: str, base: ScenarioConfig | None = None,
         key, _, raw_value = line.partition("=")
         key = key.strip()
         raw_value = raw_value.strip()
-        if key not in _KEY_TABLE:
+        if key not in _KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        conv, check, constraint = _KEY_TABLE[key]
+        _, conv, check, constraint = _KEYS[key]
         try:
             value = conv(raw_value)
         except ValueError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -170,30 +170,13 @@ def _example_dict(ex: LabeledExample | None):
     return {"x1": ex.query.x1, "x2": ex.query.x2, "y": ex.y}
 
 
-def _config_dict(cfg: ScenarioConfig) -> dict:
-    return {
-        "prior": list(cfg.prior.astuple()),
-        "theta_true": cfg.theta_true,
-        "n_queries": cfg.n_queries,
-        "beta_a": cfg.beta_a,
-        "beta_h": cfg.beta_h,
-        "reward_form": cfg.reward_form,
-        "theta_grid": [cfg.theta_grid.lo, cfg.theta_grid.hi, cfg.theta_grid.n_points],
-        "query_grid": [cfg.query_grid.feature_lo, cfg.query_grid.feature_hi,
-                       cfg.query_grid.n_per_axis],
-        "seed": cfg.seed,
-        "mle": {
-            "mu1": [cfg.mle.mu1.lo, cfg.mle.mu1.hi, cfg.mle.mu1.count],
-            "mu2": [cfg.mle.mu2.lo, cfg.mle.mu2.hi, cfg.mle.mu2.count],
-            "sigma1": [cfg.mle.sigma1.lo, cfg.mle.sigma1.hi, cfg.mle.sigma1.count],
-            "sigma2": [cfg.mle.sigma2.lo, cfg.mle.sigma2.hi, cfg.mle.sigma2.count],
-            "p_z": [cfg.mle.p_z.lo, cfg.mle.p_z.hi, cfg.mle.p_z.count],
-            "n_refine_iters": cfg.mle.n_refine_iters,
-            "refine_shrink": cfg.mle.refine_shrink,
-        },
-        "exact_likelihood": cfg.exact_likelihood,
-        "selection": cfg.selection,
-    }
+def _config_dict(obj):
+    """The ``config`` section of ``report.json``: a dataclass whose fields are
+    all scalars becomes a list in field order, any other one a dict."""
+    values = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if not any(is_dataclass(v) for v in values.values()):
+        return list(values.values())
+    return {k: _config_dict(v) if is_dataclass(v) else v for k, v in values.items()}
 
 
 def sample_queries(cfg: ScenarioConfig, belief: GridBelief) -> list[Query]:
@@ -336,6 +319,3 @@ def run_interaction_loop(cfg: ScenarioConfig, learner_level: int, teacher_level:
     report.timings["loop"] = time.perf_counter() - t0
     return report
 
-
-def with_seed(cfg: ScenarioConfig, seed: int) -> ScenarioConfig:
-    return replace(cfg, seed=seed)

@@ -193,13 +193,16 @@ def eig_rows(mass: np.ndarray, lik1: np.ndarray) -> np.ndarray:
     prior_h = -np.sum(xlogy(mass, mass), axis=-1)
     t1 = mass * lik1
     p1 = np.sum(t1, axis=-1)
-    post1 = t1 / p1[..., None]
-    h1 = -np.sum(xlogy(post1, post1), axis=-1)
     t0 = mass * (1.0 - lik1)
     p0 = np.sum(t0, axis=-1)
-    post0 = t0 / p0[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        post1 = t1 / p1[..., None]
+        post0 = t0 / p0[..., None]
+    h1 = -np.sum(xlogy(post1, post1), axis=-1)
     h0 = -np.sum(xlogy(post0, post0), axis=-1)
-    return p1 * (prior_h - h1) + p0 * (prior_h - h0)
+    # An answer with zero predictive probability adds its limit, 0.
+    return (np.where(p1 > 0, p1 * (prior_h - h1), 0.0)
+            + np.where(p0 > 0, p0 * (prior_h - h0), 0.0))
 
 
 def _binary_entropy(p: np.ndarray) -> np.ndarray:

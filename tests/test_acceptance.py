@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 
+import querymind
 from querymind.model import (
     BeliefParams,
     GridBelief,
@@ -335,7 +336,9 @@ def test_criterion_6_intent_bayes_factor():
 
 
 def _run_fig2(out_dir: str, threads: int) -> None:
-    env = dict(os.environ)
+    # The subprocess imports the same source tree as this test process.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(querymind.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
         env[var] = str(threads)

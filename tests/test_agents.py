@@ -9,16 +9,19 @@ from querymind.model import (
     InvalidInputError,
     LabeledExample,
     Query,
+    SQUARED_DISTANCE,
     ThetaGrid,
     discretize_belief,
     uniform_belief,
 )
-from querymind.inference import QueryGrid, eig_map, expected_info_gain
+from querymind.inference import QueryGrid, eig_map, expected_info_gain, likelihood_matrix
 from querymind.agents import (
     BeliefEnsemble,
     MleSearchConfig,
     ParamRange,
+    _dataset_likelihoods,
     _l2_policy_matrix,
+    _objective_batch,
     bayes_factor,
     l2_query_policy,
     l2_select_query,
@@ -225,6 +228,27 @@ class TestMleBelief:
                                                   exact=True, beta_a=20.0)
                             assert best >= other - 1e-9
 
+    def test_zero_probability_answers_give_finite_scores(self):
+        # Under squared distance, tight sigmas at the range corners give an
+        # answer zero predictive probability; its term must be its limit, 0.
+        queries = [Query(6.0, 0.0), Query(5.0, -1.0), Query(-6.0, 0.0)]
+        cfg = MleSearchConfig(sigma1=ParamRange(0.01, 2.0, 4),
+                              sigma2=ParamRange(0.01, 2.0, 4))
+        points = TG.points
+        lik1 = _dataset_likelihoods(queries, points, SQUARED_DISTANCE)
+        mesh = np.meshgrid(cfg.mu1.values(), cfg.sigma1.values(), cfg.mu2.values(),
+                           cfg.sigma2.values(), cfg.p_z.values(), indexing="ij")
+        params = np.stack([m.ravel() for m in mesh], axis=1)
+        values = _objective_batch(params, lik1, points, False, 50.0, None, len(queries))
+        assert np.all(np.isfinite(values))
+        cand = BeliefParams(-6.0, 0.01, 0.0, 0.01, 0.7)
+        grid_lik1 = likelihood_matrix(points, QG.candidates, SQUARED_DISTANCE)
+        for exact in (False, True):
+            got = _objective_batch(np.array([cand.astuple()]), lik1, points, exact, 50.0,
+                                   grid_lik1, len(queries))[0]
+            want = mle_objective(queries, cand, QG, TG, SQUARED_DISTANCE, exact, 50.0)
+            assert got == pytest.approx(want, abs=1e-9)
+
     def test_output_is_canonical(self):
         rng = np.random.default_rng(4)
         queries = [Query(float(a), float(b)) for a, b in rng.uniform(-6, 6, (3, 2))]
@@ -337,6 +361,13 @@ class TestAnswerPolicy:
             p = l3_answer_policy(2.0, q, [prior], None, 50.0)
             p_swapped = l3_answer_policy(2.0, q.swapped(), [prior], None, 50.0)
             assert abs(p + p_swapped - 1.0) <= 1e-12
+
+    def test_bad_weights_rejected(self):
+        prior = discretize_belief(DOMINANT_LEFT, TG)
+        q = Query(-3.0, 2.0)
+        for weights in ([1.0], [0.1, 0.1], [1.5, -0.5]):
+            with pytest.raises(InvalidInputError):
+                l3_answer_policy(2.0, q, [prior, prior], weights, 50.0)
 
 
 class TestL4:

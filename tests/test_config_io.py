@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -6,8 +8,9 @@ import pytest
 
 from querymind.model import BeliefParams, GridBelief, Query, ThetaGrid, discretize_belief
 from querymind.inference import QueryGrid, entropy
-from querymind.experiments import ConfigError, ScenarioConfig
+from querymind.experiments import ConfigError, RunReport, ScenarioConfig, bimodal_config
 from querymind.config import (
+    _KEYS,
     default_config,
     parse_config_text,
     serialize_config,
@@ -66,6 +69,49 @@ class TestConfigParsing:
         cfg = parse_config_text("prior.p_z = 0.6\n", base=base)
         assert cfg.seed == 5
         assert cfg.prior.p_z == 0.6
+
+
+def _leaf_paths(obj, prefix=()):
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaf_paths(value, prefix + (f.name,))
+        else:
+            yield prefix + (f.name,)
+
+
+class TestConfigSchema:
+    def test_every_leaf_field_has_exactly_one_key(self):
+        paths = [path for path, *_ in _KEYS.values()]
+        assert sorted(paths) == sorted(_leaf_paths(ScenarioConfig()))
+        assert len(set(paths)) == len(paths) == 36
+
+    def test_serialized_defaults_are_pinned(self):
+        assert serialize_config(default_config()) == (
+            "agent.beta_a = 50.0\nagent.beta_h = 50.0\nagent.reward_form = absolute_distance\n"
+            "grid.query_hi = 6.0\ngrid.query_lo = -6.0\ngrid.query_points = 49\n"
+            "grid.theta_hi = 6.0\ngrid.theta_lo = -6.0\ngrid.theta_points = 241\n"
+            "mle.mu1_count = 13\nmle.mu1_hi = 0.0\nmle.mu1_lo = -6.0\n"
+            "mle.mu2_count = 13\nmle.mu2_hi = 6.0\nmle.mu2_lo = 0.0\n"
+            "mle.p_z_count = 9\nmle.p_z_hi = 0.9\nmle.p_z_lo = 0.1\n"
+            "mle.refine_iters = 3\nmle.refine_shrink = 0.5\n"
+            "mle.sigma1_count = 4\nmle.sigma1_hi = 2.0\nmle.sigma1_lo = 0.25\n"
+            "mle.sigma2_count = 4\nmle.sigma2_hi = 2.0\nmle.sigma2_lo = 0.25\n"
+            "prior.mu1 = -3.0\nprior.mu2 = 3.0\nprior.p_z = 0.9\n"
+            "prior.sigma1 = 1.0\nprior.sigma2 = 1.0\n"
+            "run.exact_likelihood = false\nrun.n_queries = 5\nrun.seed = 0\n"
+            "run.selection = sample\nrun.theta_true = 2.0\n")
+
+    def test_report_config_section_is_pinned(self):
+        # Re-dumped compactly; the round trip keeps ints, floats, lists and dicts apart.
+        section = json.loads(RunReport("x", bimodal_config(3)).to_json())["config"]
+        assert json.dumps(section, sort_keys=True) == (
+            '{"beta_a": 50.0, "beta_h": 50.0, "exact_likelihood": false, '
+            '"mle": {"mu1": [-6.0, 0.0, 13], "mu2": [0.0, 6.0, 13], "n_refine_iters": 3, '
+            '"p_z": [0.1, 0.9, 9], "refine_shrink": 0.5, "sigma1": [0.25, 2.0, 4], '
+            '"sigma2": [0.25, 2.0, 4]}, "n_queries": 20, "prior": [-3.0, 0.5, 3.0, 0.5, 0.6], '
+            '"query_grid": [-6.0, 6.0, 49], "reward_form": "absolute_distance", "seed": 3, '
+            '"selection": "sample", "theta_grid": [-6.0, 6.0, 241], "theta_true": 2.0}')
 
 
 class TestCsvWriters:
