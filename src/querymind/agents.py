@@ -19,12 +19,14 @@ from scipy.special import logsumexp, xlogy
 
 from .model import (
     ABSOLUTE_DISTANCE,
+    DENSITY_FLOOR,
     BeliefParams,
     GridBelief,
     InvalidInputError,
     LabeledExample,
     Query,
     ThetaGrid,
+    _require_finite,
     canonicalize,
     discretize_belief,
 )
@@ -83,6 +85,7 @@ class ParamRange:
     count: int
 
     def __post_init__(self) -> None:
+        _require_finite(lo=self.lo, hi=self.hi)
         if self.count < 1:
             raise InvalidInputError("range count must be >= 1")
         if self.lo > self.hi:
@@ -158,7 +161,7 @@ def _mixture_mass_batch(params: np.ndarray, points: np.ndarray) -> np.ndarray:
     z2 = (th - mu2) / s2
     dens = pz * (inv_sqrt_2pi / s1) * np.exp(-0.5 * z1 * z1) \
         + (1.0 - pz) * (inv_sqrt_2pi / s2) * np.exp(-0.5 * z2 * z2)
-    dens = np.where(dens < 1e-300, 0.0, dens)
+    dens = np.where(dens < DENSITY_FLOOR, 0.0, dens)
     total = np.sum(dens, axis=1)
     bad = total <= 0.0
     if np.any(bad):
@@ -234,15 +237,8 @@ def _objective_batch(params: np.ndarray, lik1: np.ndarray, points: np.ndarray,
 def _dataset_likelihoods(queries: Sequence[Query], points: np.ndarray,
                          form: str) -> np.ndarray:
     """(N, K) answer-1 likelihoods; diagonal queries contribute zero EIG."""
-    rows = []
-    for q in queries:
-        if q.is_diagonal:
-            continue
-        rows.append(np.array([[q.x1, q.x2]]))
-    if not rows:
-        return np.empty((0, points.size))
-    cands = np.concatenate(rows, axis=0)
-    return likelihood_matrix(points, cands, form)
+    pairs = np.array([[q.x1, q.x2] for q in queries if not q.is_diagonal]).reshape(-1, 2)
+    return likelihood_matrix(points, pairs, form)
 
 
 def mle_objective(queries: Sequence[Query], bp: BeliefParams, qg: QueryGrid,
@@ -288,33 +284,20 @@ def mle_belief(queries: Sequence[Query], cfg: MleSearchConfig, qg: QueryGrid,
     lik1 = _dataset_likelihoods(queries, points, form)
     grid_lik1 = likelihood_matrix(points, qg.candidates, form) if exact else None
 
-    axes = [
-        cfg.mu1.values(),
-        cfg.mu2.values(),
-        np.log(cfg.sigma1.values()),
-        np.log(cfg.sigma2.values()),
-        cfg.p_z.values(),
-    ]
-    widths = [
-        cfg.mu1.hi - cfg.mu1.lo,
-        cfg.mu2.hi - cfg.mu2.lo,
-        math.log(cfg.sigma1.hi) - math.log(cfg.sigma1.lo),
-        math.log(cfg.sigma2.hi) - math.log(cfg.sigma2.lo),
-        cfg.p_z.hi - cfg.p_z.lo,
-    ]
-    counts = [cfg.mu1.count, cfg.mu2.count, cfg.sigma1.count, cfg.sigma2.count, cfg.p_z.count]
-    bounds = [(cfg.mu1.lo, cfg.mu1.hi), (cfg.mu2.lo, cfg.mu2.hi),
-              (math.log(cfg.sigma1.lo), math.log(cfg.sigma1.hi)),
-              (math.log(cfg.sigma2.lo), math.log(cfg.sigma2.hi)),
-              (cfg.p_z.lo, cfg.p_z.hi)]
+    # Search coordinates are (mu1, mu2, log s1, log s2, p_z).  Axes take
+    # np.log and bounds math.log: the window edges depend on those exact bits.
+    ranges = [(cfg.mu1, False), (cfg.mu2, False), (cfg.sigma1, True),
+              (cfg.sigma2, True), (cfg.p_z, False)]
+    axes = [np.log(r.values()) if log else r.values() for r, log in ranges]
+    bounds = [(math.log(r.lo), math.log(r.hi)) if log else (r.lo, r.hi) for r, log in ranges]
+    widths = [hi - lo for lo, hi in bounds]
 
     best_params: np.ndarray | None = None
     best_value = -np.inf
     for _ in range(1 + cfg.n_refine_iters):
         mesh = np.meshgrid(*axes, indexing="ij")
         cand = np.stack([m.ravel() for m in mesh], axis=1)
-        # Search coordinates are (mu1, mu2, log s1, log s2, p_z); the mass
-        # kernel wants (mu1, s1, mu2, s2, p_z) in sigma units.
+        # The mass kernel wants (mu1, s1, mu2, s2, p_z) in sigma units.
         params = np.column_stack([cand[:, 0], np.exp(cand[:, 2]),
                                   cand[:, 1], np.exp(cand[:, 3]), cand[:, 4]])
         values = _objective_batch(params, lik1, points, exact, beta_a, grid_lik1,
@@ -324,13 +307,8 @@ def mle_belief(queries: Sequence[Query], cfg: MleSearchConfig, qg: QueryGrid,
             best_value = float(values[i])
             best_params = cand[i].copy()
         widths = [w * cfg.refine_shrink for w in widths]
-        axes = []
-        for dim in range(5):
-            lo, hi = _clip_window(best_params[dim], widths[dim], *bounds[dim])
-            if counts[dim] == 1:
-                axes.append(np.array([best_params[dim]]))
-            else:
-                axes.append(np.linspace(lo, hi, counts[dim]))
+        axes = [np.linspace(*_clip_window(c, w, *b), r.count) if r.count > 1 else np.array([c])
+                for (r, _), w, b, c in zip(ranges, widths, bounds, best_params)]
     bp = BeliefParams(best_params[0], math.exp(best_params[2]),
                       best_params[1], math.exp(best_params[3]), best_params[4])
     return canonicalize(bp)

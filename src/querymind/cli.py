@@ -39,6 +39,7 @@ from .experiments import (
 )
 from .config import default_config, parse_config, serialize_config
 from .reporting import (
+    _write_text,
     fmt_real,
     read_queries_csv,
     render_heatmap_svg,
@@ -139,12 +140,16 @@ def _ensure_out(args) -> str:
     return args.out
 
 
+def _emit(files: list[str], out_dir: str, name: str, writer, *args, **kwargs) -> None:
+    """Write ``out_dir/name`` with ``writer(*args, path, **kwargs)`` and record it."""
+    path = os.path.join(out_dir, name)
+    writer(*args, path, **kwargs)
+    files.append(path)
+
+
 def _finish(out_dir: str, cfg: ScenarioConfig, report: RunReport,
             files: list[str]) -> None:
-    report_path = os.path.join(out_dir, "report.json")
-    with open(report_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(report.to_json() + "\n")
-    files.append(report_path)
+    _emit(files, out_dir, "report.json", _write_text, report.to_json() + "\n")
     write_manifest(os.path.join(out_dir, "manifest.txt"), __version__,
                    serialize_config(cfg), cfg.seed, files, report.timings)
 
@@ -159,23 +164,15 @@ def _cmd_reproduce(args) -> int:
               else run_bimodal_identifiability)
     report = runner(cfg)
     files = []
-
-    def emit(name, writer, *writer_args):
-        path = os.path.join(out, name)
-        writer(*writer_args, path)
-        files.append(path)
-
-    emit("queries.csv", write_queries_csv, report.queries)
-    emit("eig_true.csv", write_eig_csv, report.eig_true, cfg.query_grid)
-    emit("eig_estimated.csv", write_eig_csv, report.eig_estimated, cfg.query_grid)
-    emit("belief_true.csv", write_belief_csv, report.belief_true)
-    emit("belief_estimated.csv", write_belief_csv, report.belief_estimated)
-    path = os.path.join(out, "heatmap_true.svg")
-    render_heatmap_svg(report.eig_true, cfg.query_grid, path, annotations=report.queries)
-    files.append(path)
-    path = os.path.join(out, "heatmap_estimated.svg")
-    render_heatmap_svg(report.eig_estimated, cfg.query_grid, path)
-    files.append(path)
+    _emit(files, out, "queries.csv", write_queries_csv, report.queries)
+    _emit(files, out, "eig_true.csv", write_eig_csv, report.eig_true, cfg.query_grid)
+    _emit(files, out, "eig_estimated.csv", write_eig_csv, report.eig_estimated, cfg.query_grid)
+    _emit(files, out, "belief_true.csv", write_belief_csv, report.belief_true)
+    _emit(files, out, "belief_estimated.csv", write_belief_csv, report.belief_estimated)
+    _emit(files, out, "heatmap_true.svg", render_heatmap_svg, report.eig_true, cfg.query_grid,
+          annotations=report.queries)
+    _emit(files, out, "heatmap_estimated.svg", render_heatmap_svg, report.eig_estimated,
+          cfg.query_grid)
     _finish(out, cfg, report, files)
     mu1, sigma1, mu2, sigma2, p_z = report.estimated.astuple()
     print(f"estimated belief: mu1={fmt_real(mu1)} sigma1={fmt_real(sigma1)} "
@@ -187,12 +184,8 @@ def _cmd_reproduce(args) -> int:
 def _emit_teaching(cfg: ScenarioConfig, out: str, which: str | None) -> int:
     report = run_belief_correction(cfg)
     files = []
-    path = os.path.join(out, "queries.csv")
-    write_queries_csv(report.queries, path)
-    files.append(path)
-    path = os.path.join(out, "belief_inferred.csv")
-    write_belief_csv(report.belief_estimated, path)
-    files.append(path)
+    _emit(files, out, "queries.csv", write_queries_csv, report.queries)
+    _emit(files, out, "belief_inferred.csv", write_belief_csv, report.belief_estimated)
     variants = {
         "uniform": (report.teaching_utils_uniform, report.argmax_uniform,
                     report.learner_mass_after_uniform),
@@ -202,14 +195,11 @@ def _emit_teaching(cfg: ScenarioConfig, out: str, which: str | None) -> int:
     selected = [which] if which else ["uniform", "adaptive"]
     for name in selected:
         utils, argmax, mass = variants[name]
-        path = os.path.join(out, f"teach_{name}.csv")
-        write_teaching_csv(utils, cfg.query_grid, path)
-        files.append(path)
+        _emit(files, out, f"teach_{name}.csv", write_teaching_csv, utils, cfg.query_grid)
         # Visualize the better answer per query pair.
         per_query = np.maximum(utils[0::2], utils[1::2])
-        path = os.path.join(out, f"heatmap_teach_{name}.svg")
-        render_heatmap_svg(per_query, cfg.query_grid, path, annotations=[argmax.query])
-        files.append(path)
+        _emit(files, out, f"heatmap_teach_{name}.svg", render_heatmap_svg, per_query,
+              cfg.query_grid, annotations=[argmax.query])
         print(f"{name} teacher example: x1={fmt_real(argmax.query.x1)} "
               f"x2={fmt_real(argmax.query.x2)} y={argmax.y} "
               f"(learner mass at true parameter: {fmt_real(mass)})")
@@ -228,12 +218,8 @@ def _cmd_eig_map(args) -> int:
     belief = discretize_belief(cfg.prior, cfg.theta_grid)
     values = eig_map(belief, cfg.query_grid, cfg.reward_form)
     files = []
-    path = os.path.join(out, "eig_true.csv")
-    write_eig_csv(values, cfg.query_grid, path)
-    files.append(path)
-    path = os.path.join(out, "heatmap_true.svg")
-    render_heatmap_svg(values, cfg.query_grid, path)
-    files.append(path)
+    _emit(files, out, "eig_true.csv", write_eig_csv, values, cfg.query_grid)
+    _emit(files, out, "heatmap_true.svg", render_heatmap_svg, values, cfg.query_grid)
     report = RunReport(kind="eig_map", config=cfg)
     report.eig_true = values
     report.belief_true = belief
@@ -257,9 +243,7 @@ def _cmd_loop(args) -> int:
     out = _ensure_out(args)
     report = run_interaction_loop(cfg, args.learner, args.teacher, args.rounds)
     files = []
-    path = os.path.join(out, "trace.csv")
-    write_trace_csv(report.trace, path)
-    files.append(path)
+    _emit(files, out, "trace.csv", write_trace_csv, report.trace)
     _finish(out, cfg, report, files)
     print(f"final posterior entropy after {args.rounds} rounds: "
           f"{fmt_real(report.trace[-1][4])}")

@@ -7,6 +7,7 @@ back to an equal config.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import replace
 from functools import reduce
@@ -17,6 +18,13 @@ from .experiments import ConfigError, ScenarioConfig
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
                "yes": True, "no": False}
+
+
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {raw!r}")
+    return value
 
 
 def _parse_bool(raw: str) -> bool:
@@ -37,44 +45,44 @@ _UNIT_INTERVAL = (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
 # type converter, constraint or None, constraint description).  Defaults come
 # from ScenarioConfig itself via config_values().
 _KEYS: dict[str, tuple[tuple[str, ...], Callable, Callable | None, str]] = {
-    "prior.mu1": (("prior", "mu1"), float, *_ANY),
-    "prior.sigma1": (("prior", "sigma1"), float, *_POSITIVE),
-    "prior.mu2": (("prior", "mu2"), float, *_ANY),
-    "prior.sigma2": (("prior", "sigma2"), float, *_POSITIVE),
-    "prior.p_z": (("prior", "p_z"), float, *_UNIT_INTERVAL),
-    "run.theta_true": (("theta_true",), float, *_ANY),
+    "prior.mu1": (("prior", "mu1"), _finite_float, *_ANY),
+    "prior.sigma1": (("prior", "sigma1"), _finite_float, *_POSITIVE),
+    "prior.mu2": (("prior", "mu2"), _finite_float, *_ANY),
+    "prior.sigma2": (("prior", "sigma2"), _finite_float, *_POSITIVE),
+    "prior.p_z": (("prior", "p_z"), _finite_float, *_UNIT_INTERVAL),
+    "run.theta_true": (("theta_true",), _finite_float, *_ANY),
     "run.n_queries": (("n_queries",), int, *_AT_LEAST_1),
     "run.seed": (("seed",), int, *_ANY),
     "run.selection": (("selection",), str, lambda v: v in ("sample", "argmax"),
                       "must be 'sample' or 'argmax'"),
     "run.exact_likelihood": (("exact_likelihood",), _parse_bool, *_ANY),
-    "agent.beta_a": (("beta_a",), float, *_NONNEGATIVE),
-    "agent.beta_h": (("beta_h",), float, *_NONNEGATIVE),
+    "agent.beta_a": (("beta_a",), _finite_float, *_NONNEGATIVE),
+    "agent.beta_h": (("beta_h",), _finite_float, *_NONNEGATIVE),
     "agent.reward_form": (("reward_form",), str, lambda v: v in REWARD_FORMS,
                           f"must be one of {REWARD_FORMS}"),
-    "grid.theta_lo": (("theta_grid", "lo"), float, *_ANY),
-    "grid.theta_hi": (("theta_grid", "hi"), float, *_ANY),
+    "grid.theta_lo": (("theta_grid", "lo"), _finite_float, *_ANY),
+    "grid.theta_hi": (("theta_grid", "hi"), _finite_float, *_ANY),
     "grid.theta_points": (("theta_grid", "n_points"), int, lambda v: v >= 3, "must be >= 3"),
-    "grid.query_lo": (("query_grid", "feature_lo"), float, *_ANY),
-    "grid.query_hi": (("query_grid", "feature_hi"), float, *_ANY),
+    "grid.query_lo": (("query_grid", "feature_lo"), _finite_float, *_ANY),
+    "grid.query_hi": (("query_grid", "feature_hi"), _finite_float, *_ANY),
     "grid.query_points": (("query_grid", "n_per_axis"), int, lambda v: v >= 2, "must be >= 2"),
-    "mle.mu1_lo": (("mle", "mu1", "lo"), float, *_ANY),
-    "mle.mu1_hi": (("mle", "mu1", "hi"), float, *_ANY),
+    "mle.mu1_lo": (("mle", "mu1", "lo"), _finite_float, *_ANY),
+    "mle.mu1_hi": (("mle", "mu1", "hi"), _finite_float, *_ANY),
     "mle.mu1_count": (("mle", "mu1", "count"), int, *_AT_LEAST_1),
-    "mle.mu2_lo": (("mle", "mu2", "lo"), float, *_ANY),
-    "mle.mu2_hi": (("mle", "mu2", "hi"), float, *_ANY),
+    "mle.mu2_lo": (("mle", "mu2", "lo"), _finite_float, *_ANY),
+    "mle.mu2_hi": (("mle", "mu2", "hi"), _finite_float, *_ANY),
     "mle.mu2_count": (("mle", "mu2", "count"), int, *_AT_LEAST_1),
-    "mle.sigma1_lo": (("mle", "sigma1", "lo"), float, *_POSITIVE),
-    "mle.sigma1_hi": (("mle", "sigma1", "hi"), float, *_POSITIVE),
+    "mle.sigma1_lo": (("mle", "sigma1", "lo"), _finite_float, *_POSITIVE),
+    "mle.sigma1_hi": (("mle", "sigma1", "hi"), _finite_float, *_POSITIVE),
     "mle.sigma1_count": (("mle", "sigma1", "count"), int, *_AT_LEAST_1),
-    "mle.sigma2_lo": (("mle", "sigma2", "lo"), float, *_POSITIVE),
-    "mle.sigma2_hi": (("mle", "sigma2", "hi"), float, *_POSITIVE),
+    "mle.sigma2_lo": (("mle", "sigma2", "lo"), _finite_float, *_POSITIVE),
+    "mle.sigma2_hi": (("mle", "sigma2", "hi"), _finite_float, *_POSITIVE),
     "mle.sigma2_count": (("mle", "sigma2", "count"), int, *_AT_LEAST_1),
-    "mle.p_z_lo": (("mle", "p_z", "lo"), float, *_UNIT_INTERVAL),
-    "mle.p_z_hi": (("mle", "p_z", "hi"), float, *_UNIT_INTERVAL),
+    "mle.p_z_lo": (("mle", "p_z", "lo"), _finite_float, *_UNIT_INTERVAL),
+    "mle.p_z_hi": (("mle", "p_z", "hi"), _finite_float, *_UNIT_INTERVAL),
     "mle.p_z_count": (("mle", "p_z", "count"), int, *_AT_LEAST_1),
     "mle.refine_iters": (("mle", "n_refine_iters"), int, *_NONNEGATIVE),
-    "mle.refine_shrink": (("mle", "refine_shrink"), float, lambda v: 0.0 < v < 1.0,
+    "mle.refine_shrink": (("mle", "refine_shrink"), _finite_float, lambda v: 0.0 < v < 1.0,
                           "must be in (0, 1)"),
 }
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
 
@@ -82,6 +83,9 @@ class ScenarioConfig:
     selection: str = "sample"
 
     def __post_init__(self) -> None:
+        for name in ("theta_true", "beta_a", "beta_h"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.n_queries < 1:
             raise ConfigError(f"n_queries must be >= 1, got {self.n_queries}")
         if self.selection not in _SELECTION_MODES:
@@ -191,29 +195,32 @@ def _nondiagonal_mask(qg: QueryGrid) -> np.ndarray:
     return cands[:, 0] != cands[:, 1]
 
 
-def _identifiability(cfg: ScenarioConfig, kind: str) -> RunReport:
+def _attribution(cfg: ScenarioConfig, kind: str) -> RunReport:
+    """A report with the prior's sampled queries and the belief attributed from them."""
     report = RunReport(kind=kind, config=cfg)
     t0 = time.perf_counter()
-    belief = discretize_belief(cfg.prior, cfg.theta_grid)
-    report.belief_true = belief
-    report.queries = sample_queries(cfg, belief)
+    report.belief_true = discretize_belief(cfg.prior, cfg.theta_grid)
+    report.queries = sample_queries(cfg, report.belief_true)
     report.timings["sample_queries"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    est = mle_belief(report.queries, cfg.mle, cfg.query_grid, cfg.theta_grid,
-                     cfg.reward_form, cfg.exact_likelihood, cfg.beta_a)
-    report.estimated = est
+    report.estimated = mle_belief(report.queries, cfg.mle, cfg.query_grid, cfg.theta_grid,
+                                  cfg.reward_form, cfg.exact_likelihood, cfg.beta_a)
+    report.belief_estimated = discretize_belief(report.estimated, cfg.theta_grid)
     report.timings["mle_belief"] = time.perf_counter() - t0
+    return report
 
+
+def _identifiability(cfg: ScenarioConfig, kind: str) -> RunReport:
+    report = _attribution(cfg, kind)
     t0 = time.perf_counter()
-    report.belief_estimated = discretize_belief(est, cfg.theta_grid)
-    report.eig_true = eig_map(belief, cfg.query_grid, cfg.reward_form)
+    report.eig_true = eig_map(report.belief_true, cfg.query_grid, cfg.reward_form)
     report.eig_estimated = eig_map(report.belief_estimated, cfg.query_grid, cfg.reward_form)
     mask = _nondiagonal_mask(cfg.query_grid)
     report.correlation = float(np.corrcoef(report.eig_true[mask],
                                            report.eig_estimated[mask])[0, 1])
-    report.mode_locations = (est.mu1, est.mu2)
-    report.p_z_hat = est.p_z
+    report.mode_locations = (report.estimated.mu1, report.estimated.mu2)
+    report.p_z_hat = report.estimated.p_z
     report.timings["eig_maps"] = time.perf_counter() - t0
     return report
 
@@ -239,19 +246,8 @@ def run_belief_correction(cfg: ScenarioConfig) -> RunReport:
     learner's actual belief.
     """
     target = cfg.theta_grid.index_of(cfg.theta_true)
-    report = RunReport(kind="belief_correction", config=cfg)
-    t0 = time.perf_counter()
-    false_belief = discretize_belief(cfg.prior, cfg.theta_grid)
-    report.belief_true = false_belief
-    report.queries = sample_queries(cfg, false_belief)
-    report.timings["sample_queries"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    inferred = mle_belief(report.queries, cfg.mle, cfg.query_grid, cfg.theta_grid,
-                          cfg.reward_form, cfg.exact_likelihood, cfg.beta_a)
-    report.estimated = inferred
-    report.belief_estimated = discretize_belief(inferred, cfg.theta_grid)
-    report.timings["mle_belief"] = time.perf_counter() - t0
+    report = _attribution(cfg, "belief_correction")
+    false_belief = report.belief_true
 
     t0 = time.perf_counter()
     qg = cfg.query_grid

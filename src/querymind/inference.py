@@ -107,14 +107,7 @@ class QueryPolicy:
 
 def answer_likelihoods(points: np.ndarray, q: Query, form: str = ABSOLUTE_DISTANCE) -> np.ndarray:
     """P(y=1 | theta, q) for every theta in ``points``."""
-    _require_form(form)
-    if form == ABSOLUTE_DISTANCE:
-        diff = np.abs(points - q.x1) - np.abs(points - q.x2)
-    else:
-        d1 = points - q.x1
-        d2 = points - q.x2
-        diff = d1 * d1 - d2 * d2
-    return expit(diff)
+    return likelihood_matrix(points, np.array([[q.x1, q.x2]]), form)[0]
 
 
 def likelihood_matrix(points: np.ndarray, candidates: np.ndarray,
@@ -155,11 +148,7 @@ def posterior_update(b: GridBelief, q: Query, y: int, form: str = ABSOLUTE_DISTA
 
 def entropy(b: GridBelief) -> float:
     """Shannon entropy of the grid mass in nats."""
-    return mass_entropy(b.mass)
-
-
-def mass_entropy(mass: np.ndarray) -> float:
-    return float(-np.sum(xlogy(mass, mass)))
+    return float(-np.sum(xlogy(b.mass, b.mass)))
 
 
 def info_gain(b: GridBelief, q: Query, y: int, form: str = ABSOLUTE_DISTANCE) -> float:
@@ -181,14 +170,13 @@ def expected_info_gain(b: GridBelief, q: Query, form: str = ABSOLUTE_DISTANCE) -
 
 
 def eig_rows(mass: np.ndarray, lik1: np.ndarray) -> np.ndarray:
-    """Expected information gain, vectorized.
+    """Expected information gain of one belief on every candidate query.
 
-    ``mass`` has shape (B, K) (rows are normalized beliefs) and ``lik1``
-    broadcasts against it: (C, K) likelihoods with a single (1, K) belief give
-    a per-candidate map; a single (K,) likelihood with (B, K) beliefs scores a
-    batch of beliefs on one query.  The arithmetic mirrors the scalar path
-    (posterior normalization followed by entropy) so the two agree to float
-    precision.
+    ``mass`` is a single (1, K) normalized belief and ``lik1`` the (C, K)
+    answer-1 likelihoods of the candidates; the result is the (C,) gain map.
+    Its only caller is the exact normalizer of the attribution search.  The
+    arithmetic mirrors the scalar path (posterior normalization followed by
+    entropy) so the two agree to float precision.
     """
     prior_h = -np.sum(xlogy(mass, mass), axis=-1)
     t1 = mass * lik1

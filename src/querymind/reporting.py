@@ -29,35 +29,32 @@ def fmt_real(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_text(path: str | os.PathLike, text: str) -> None:
+def _write_text(text: str, path: str | os.PathLike) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 
+def _write_csv(path: str | os.PathLike, header: str, rows: Iterable[Iterable[float]]) -> None:
+    """One line per row, every cell through :func:`fmt_real`; integers below
+    2**53 print exactly as ``f"{n}"`` would."""
+    lines = [header] + [",".join(map(fmt_real, row)) for row in rows]
+    _write_text("\n".join(lines) + "\n", path)
+
+
 def write_eig_csv(values: np.ndarray, qg: QueryGrid, path: str | os.PathLike) -> None:
     """Per-candidate gain map as ``x1,x2,eig`` rows in enumeration order."""
-    cands = qg.candidates
     if values.shape != (qg.n_candidates,):
         raise ValueError("value count does not match candidate count")
-    lines = ["x1,x2,eig"]
-    for (x1, x2), v in zip(cands, values):
-        lines.append(f"{fmt_real(x1)},{fmt_real(x2)},{fmt_real(v)}")
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "x1,x2,eig", np.column_stack([qg.candidates, values]).tolist())
 
 
 def write_belief_csv(b: GridBelief, path: str | os.PathLike) -> None:
     """Grid belief as ``theta,mass`` rows in ascending theta."""
-    lines = ["theta,mass"]
-    for theta, mass in zip(b.grid.points, b.mass):
-        lines.append(f"{fmt_real(theta)},{fmt_real(mass)}")
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "theta,mass", np.column_stack([b.grid.points, b.mass]).tolist())
 
 
 def write_queries_csv(queries: Sequence[Query], path: str | os.PathLike) -> None:
-    lines = ["x1,x2"]
-    for q in queries:
-        lines.append(f"{fmt_real(q.x1)},{fmt_real(q.x2)}")
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "x1,x2", [(q.x1, q.x2) for q in queries])
 
 
 def read_queries_csv(path: str | os.PathLike) -> list[Query]:
@@ -85,23 +82,16 @@ def read_queries_csv(path: str | os.PathLike) -> list[Query]:
 
 def write_trace_csv(trace: Iterable[tuple[int, float, float, int, float]],
                     path: str | os.PathLike) -> None:
-    lines = ["round,x1,x2,y,entropy"]
-    for rnd, x1, x2, y, ent in trace:
-        lines.append(f"{rnd},{fmt_real(x1)},{fmt_real(x2)},{y},{fmt_real(ent)}")
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "round,x1,x2,y,entropy", trace)
 
 
 def write_teaching_csv(utils: np.ndarray, qg: QueryGrid, path: str | os.PathLike) -> None:
     """Teaching utilities as ``x1,x2,y,utility``, candidate-major then answer."""
-    cands = qg.candidates
     if utils.shape != (2 * qg.n_candidates,):
         raise ValueError("utility count does not match candidate/answer count")
-    lines = ["x1,x2,y,utility"]
-    for c in range(qg.n_candidates):
-        x1, x2 = cands[c]
-        for y in (0, 1):
-            lines.append(f"{fmt_real(x1)},{fmt_real(x2)},{y},{fmt_real(utils[2 * c + y])}")
-    _write_text(path, "\n".join(lines) + "\n")
+    cands = np.repeat(qg.candidates, 2, axis=0)
+    answers = np.tile([0.0, 1.0], qg.n_candidates)
+    _write_csv(path, "x1,x2,y,utility", np.column_stack([cands, answers, utils]).tolist())
 
 
 def _ramp_color(t: float) -> str:
@@ -146,7 +136,7 @@ def render_heatmap_svg(values: np.ndarray, qg: QueryGrid, path: str | os.PathLik
             parts.append(f'<line x1="{cx - arm}" y1="{cy + arm}" x2="{cx + arm}" '
                          f'y2="{cy - arm}" stroke="{_MARKER_COLOR}" stroke-width="2"/>')
     parts.append("</svg>")
-    _write_text(path, "\n".join(parts) + "\n")
+    _write_text("\n".join(parts) + "\n", path)
 
 
 def sha256_file(path: str | os.PathLike) -> str:
@@ -180,4 +170,4 @@ def write_manifest(path: str | os.PathLike, version: str, config_text: str,
     for step, seconds in timings.items():
         entries[f"timing.{step}_seconds"] = fmt_real(seconds)
     lines = [f"{key} = {entries[key]}" for key in sorted(entries)]
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text("\n".join(lines) + "\n", path)

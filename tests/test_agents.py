@@ -249,6 +249,33 @@ class TestMleBelief:
             want = mle_objective(queries, cand, QG, TG, SQUARED_DISTANCE, exact, 50.0)
             assert got == pytest.approx(want, abs=1e-9)
 
+    # Pinned bit for bit: the refinement windows and the argmax tie order
+    # decide these estimates, so any change to either shows here.
+    PIN_TG = ThetaGrid(-6.0, 6.0, 61)
+    PIN_QG = QueryGrid(-6.0, 6.0, 13)
+    PIN_CFG = MleSearchConfig(mu1=ParamRange(-6.0, 0.0, 3), mu2=ParamRange(0.0, 6.0, 3),
+                              sigma1=ParamRange(0.3, 1.2, 2), sigma2=ParamRange(0.3, 1.2, 2),
+                              p_z=ParamRange(0.1, 0.9, 3), n_refine_iters=2)
+    ABS_QUERIES = [(4.0, -5.0), (-4.0, 4.0), (-6.0, 6.0), (-6.0, 5.0), (5.0, -5.0),
+                   (6.0, -6.0), (3.0, -2.0), (4.0, -3.0)]
+    SQ_QUERIES = [(2.0, -3.0), (-3.0, 3.0), (-6.0, 5.0), (-6.0, 3.0), (4.0, -4.0),
+                  (5.0, -3.0), (2.0, -5.0), (3.0, -3.0)]
+
+    @pytest.mark.parametrize("form, pairs, exact, want", [
+        ("absolute_distance", ABS_QUERIES, False, (-6.0, 0.3, 6.0, 0.3, 0.5)),
+        ("absolute_distance", ABS_QUERIES, True,
+         (-2.25, 1.0090756983044573, 2.25, 0.7135242690016326, 0.4)),
+        (SQUARED_DISTANCE, SQ_QUERIES, False, (-6.0, 0.3, 6.0, 0.3, 0.5)),
+        (SQUARED_DISTANCE, SQ_QUERIES, True,
+         (-2.25, 0.7135242690016326, 2.25, 1.0090756983044573, 0.6)),
+        # Only diagonal queries: every candidate scores 0, so the lowest index wins.
+        ("absolute_distance", [(1.0, 1.0), (-2.0, -2.0)], False, (-6.0, 0.3, 0.0, 0.3, 0.1)),
+    ])
+    def test_small_search_estimates_are_pinned(self, form, pairs, exact, want):
+        queries = [Query(x1, x2) for x1, x2 in pairs]
+        est = mle_belief(queries, self.PIN_CFG, self.PIN_QG, self.PIN_TG, form, exact, 50.0)
+        assert est.astuple() == want
+
     def test_output_is_canonical(self):
         rng = np.random.default_rng(4)
         queries = [Query(float(a), float(b)) for a, b in rng.uniform(-6, 6, (3, 2))]

@@ -45,6 +45,15 @@ class TestExitCodes:
         assert code == 2
         assert "prior.sigma1" in capsys.readouterr().err
 
+    def test_non_finite_config_value_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(FAST_CFG + "mle.mu1_lo = nan\n")
+        out = tmp_path / "out"
+        code = main(["reproduce", "fig2", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert "mle.mu1_lo: must be finite" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 

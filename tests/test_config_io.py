@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ import pytest
 from querymind.model import BeliefParams, GridBelief, Query, ThetaGrid, discretize_belief
 from querymind.inference import QueryGrid, entropy
 from querymind.experiments import ConfigError, RunReport, ScenarioConfig, bimodal_config
+from querymind.agents import ParamRange
 from querymind.config import (
     _KEYS,
+    config_values,
     default_config,
     parse_config_text,
     serialize_config,
@@ -23,6 +26,8 @@ from querymind.reporting import (
     write_eig_csv,
     write_manifest,
     write_queries_csv,
+    write_teaching_csv,
+    write_trace_csv,
 )
 
 
@@ -69,6 +74,22 @@ class TestConfigParsing:
         cfg = parse_config_text("prior.p_z = 0.6\n", base=base)
         assert cfg.seed == 5
         assert cfg.prior.p_z == 0.6
+
+    def test_non_finite_floats_name_key_and_line(self):
+        floats = [k for k, v in config_values(ScenarioConfig()).items() if isinstance(v, float)]
+        assert len(floats) == 23
+        for key in floats:
+            for raw in ("nan", "inf", "-inf"):
+                with pytest.raises(ConfigError, match=rf"^<config>:2: {re.escape(key)}: "):
+                    parse_config_text(f"# non-finite\n{key} = {raw}\n")
+
+    def test_library_constructors_reject_non_finite(self):
+        for lo, hi in ((math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)):
+            with pytest.raises(ValueError, match="must be finite"):
+                ParamRange(lo, hi, 3)
+        for name in ("theta_true", "beta_a", "beta_h"):
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                ScenarioConfig(**{name: math.inf})
 
 
 def _leaf_paths(obj, prefix=()):
@@ -179,6 +200,43 @@ class TestCsvWriters:
             read_queries_csv(path)
         assert str(info.value).startswith(f"{path}:4: ")
         assert problem in str(info.value)
+
+    # Pinned bytes: every cell prints with fmt_real, integers without a decimal point.
+    PIN_QG = QueryGrid(-0.7, 0.7, 3)
+    A = "-0.69999999999999996"
+    B = "0.69999999999999996"
+
+    def test_teaching_csv_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "teach.csv"
+        write_teaching_csv(np.linspace(0.0, 1.0, 18) ** 2 / 3.0, self.PIN_QG, path)
+        a, b = self.A, self.B
+        assert path.read_bytes() == (
+            f"x1,x2,y,utility\n{a},{a},0,0\n{a},{a},1,0.0011534025374855825\n"
+            f"{a},0,0,0.00461361014994233\n{a},0,1,0.01038062283737024\n"
+            f"{a},{b},0,0.01845444059976932\n{a},{b},1,0.028835063437139565\n"
+            f"0,{a},0,0.04152249134948096\n0,{a},1,0.056516724336793535\n"
+            f"0,0,0,0.07381776239907728\n0,0,1,0.093425605536332182\n"
+            f"0,{b},0,0.11534025374855826\n0,{b},1,0.13956170703575549\n"
+            f"{b},{a},0,0.16608996539792384\n{b},{a},1,0.19492502883506344\n"
+            f"{b},0,0,0.22606689734717414\n{b},0,1,0.25951557093425603\n"
+            f"{b},{b},0,0.29527104959630912\n{b},{b},1,0.33333333333333331\n").encode()
+
+    def test_trace_csv_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace_csv([(0, -0.7, 0.7, 1, 1.0 / 3.0), (1, 0.0, -0.7, 0, 2.0 ** 0.5),
+                         (12, 0.7, 0.0, 1, 0.0)], path)
+        a, b = self.A, self.B
+        assert path.read_bytes() == (
+            f"round,x1,x2,y,entropy\n0,{a},{b},1,0.33333333333333331\n"
+            f"1,0,{a},0,1.4142135623730951\n12,{b},0,1,0\n").encode()
+
+    def test_queries_csv_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "queries.csv"
+        write_queries_csv([self.PIN_QG.query_at(i) for i in range(9)], path)
+        a, b = self.A, self.B
+        assert path.read_bytes() == (
+            f"x1,x2\n{a},{a}\n{a},0\n{a},{b}\n0,{a}\n0,0\n0,{b}\n"
+            f"{b},{a}\n{b},0\n{b},{b}\n").encode()
 
 
 class TestHeatmap:
