@@ -35,6 +35,7 @@ from .inference import (
     ImpossibleEvidenceError,
     QueryGrid,
     QueryPolicy,
+    _binary_entropy,
     eig_map,
     eig_rows,
     expected_info_gain,
@@ -45,7 +46,8 @@ from .inference import (
 )
 
 # Batch size for vectorized search over candidate mixtures; bounds peak
-# memory at roughly batch * n_grid_points * 8 bytes per temporary.
+# memory at roughly batch * n_grid_points * 8 bytes per temporary in exact
+# mode and batch * n_queries * 8 bytes in the summed kernel.
 _SEARCH_CHUNK = 1024
 
 
@@ -122,6 +124,8 @@ class MleSearchConfig:
             raise InvalidInputError("refine_shrink must be in (0, 1)")
         if self.sigma1.lo <= 0 or self.sigma2.lo <= 0:
             raise InvalidInputError("sigma ranges must be positive")
+        if not 0.0 <= self.p_z.lo <= self.p_z.hi <= 1.0:
+            raise InvalidInputError("p_z range must lie in [0, 1]")
 
 
 def l2_query_policy(b: GridBelief, qg: QueryGrid, beta_a: float,
@@ -149,7 +153,12 @@ def l2_select_query(policy: QueryPolicy, mode: str = "sample",
 
 
 def _mixture_mass_batch(params: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Normalized grid mass for a (B, 5) batch of mixture parameters."""
+    """Normalized grid mass for a (B, 5) batch of mixture parameters.
+
+    Exact mode only, like :func:`_summed_eig_batch`: its bits decide the
+    rounding ties pinned by the benchmark reference, so it stays frozen until
+    that reference is regenerated.  The floor applies to the mixture.
+    """
     mu1 = params[:, 0][:, None]
     s1 = params[:, 1][:, None]
     mu2 = params[:, 2][:, None]
@@ -175,9 +184,11 @@ def _mixture_mass_batch(params: np.ndarray, points: np.ndarray) -> np.ndarray:
 def _summed_eig_batch(mass: np.ndarray, lik1: np.ndarray) -> np.ndarray:
     """Sum over queries of the expected information gain for each mass row.
 
-    Algebraically identical to :func:`querymind.inference.eig_rows` summed
-    over the (N, K) likelihood rows, but organized as fused multiply-sums so
-    a large batch of candidate beliefs stays cheap:
+    Exact mode only: it is the data term of the exact objective, whose bits
+    decide the rounding ties pinned by the benchmark reference, so it stays
+    frozen until that reference is regenerated.  Algebraically identical to
+    :func:`querymind.inference.eig_rows` summed over the (N, K) likelihood
+    rows, organized as fused multiply-sums:
     ``H(post_y) = ln p_y - (1/p_y) * sum_k t_yk ln t_yk`` with
     ``t_y = mass * lik_y``.  All reductions are fixed-order einsum loops, so
     results do not depend on BLAS threading.
@@ -204,31 +215,78 @@ def _summed_eig_batch(mass: np.ndarray, lik1: np.ndarray) -> np.ndarray:
     return total
 
 
+def _separable_summed_eig(params: np.ndarray, lik1: np.ndarray,
+                          points: np.ndarray) -> np.ndarray:
+    """Summed dual-form gain ``sum_q [H_b(m . L_q) - m . H_b(L_q)]`` per row.
+
+    Every row is ``p * phi_a + (1 - p) * phi_b`` over its two components, so
+    the grid-sized products are taken once per distinct ``(mu, sigma)``:
+    ``S_u = sum phi_u``, ``A[u, q] = phi_u . L_q``, ``B[u, q] = phi_u . H_b(L_q)``.
+    A row then needs only ``Z = p S_a + (1 - p) S_b`` and its two mixes of
+    ``A`` and ``B``, divided by ``Z``.
+    """
+    n = params.shape[0]
+    mu_vals, mu_idx = np.unique(np.concatenate([params[:, 0], params[:, 2]]),
+                                return_inverse=True)
+    s_vals, s_idx = np.unique(np.concatenate([params[:, 1], params[:, 3]]),
+                              return_inverse=True)
+    keys, comp = np.unique(mu_idx * s_vals.size + s_idx, return_inverse=True)
+    mu = mu_vals[keys // s_vals.size][:, None]
+    sigma = s_vals[keys % s_vals.size][:, None]
+    z = (points[None, :] - mu) / sigma
+    phi = (1.0 / math.sqrt(2.0 * math.pi) / sigma) * np.exp(-0.5 * z * z)
+    phi = np.where(phi < DENSITY_FLOOR, 0.0, phi)
+    s = np.einsum("uk->u", phi)
+    a = np.einsum("uk,nk->un", phi, lik1)
+    b = np.einsum("uk,nk->un", phi, _binary_entropy(lik1))
+    comp_a, comp_b = comp[:n], comp[n:]
+    out = np.empty(n)
+    for start in range(0, n, _SEARCH_CHUNK):
+        rows = slice(start, start + _SEARCH_CHUNK)
+        ca, cb = comp_a[rows], comp_b[rows]
+        p = params[rows, 4]
+        norm = p * s[ca] + (1.0 - p) * s[cb]
+        empty = norm <= 0.0
+        norm = np.where(empty, 1.0, norm)[:, None]
+        p, q = p[:, None], 1.0 - p[:, None]
+        p1 = (p * a[ca] + q * a[cb]) / norm
+        h = (p * b[ca] + q * b[cb]) / norm
+        total = np.einsum("bn->b", _binary_entropy(p1) - h)
+        total[empty] = -np.inf
+        out[rows] = total
+    return out
+
+
 def _objective_batch(params: np.ndarray, lik1: np.ndarray, points: np.ndarray,
                      exact: bool, beta_a: float, grid_lik1: np.ndarray | None,
                      n_queries: int) -> np.ndarray:
-    """Summed EIG of the dataset queries for each parameter row.
+    """Summed EIG of the dataset queries for each (mu1, s1, mu2, s2, p_z) row.
 
     ``lik1`` is (N, K) over the non-diagonal dataset queries (diagonals add
-    zero gain); in exact mode ``grid_lik1`` is the (C, K) likelihood matrix
-    of the full candidate grid and the result is the normalized
-    log-likelihood under the softmax query policy, where every one of the
-    ``n_queries`` dataset queries contributes a normalizer term.
+    zero gain).  The summed score uses the separable dual form
+    (:func:`_separable_summed_eig`), where each component density is floored
+    at ``DENSITY_FLOOR`` on its own before it is mixed.  In exact mode
+    ``grid_lik1`` is the (C, K) likelihood matrix of the full candidate grid
+    and the result is the normalized log-likelihood under the softmax query
+    policy, where every one of the ``n_queries`` dataset queries contributes
+    a normalizer term; it runs on the mixture mass, floored as a whole.
+    In both modes a row with no representable grid mass scores -inf.
     """
+    if not exact:
+        return _separable_summed_eig(params, lik1, points)
+    if grid_lik1 is None:
+        raise InvalidInputError("exact mode needs the candidate-grid likelihoods")
     out = np.empty(params.shape[0])
     for start in range(0, params.shape[0], _SEARCH_CHUNK):
         chunk = params[start:start + _SEARCH_CHUNK]
         mass = _mixture_mass_batch(chunk, points)
         empty = mass.sum(axis=1) <= 0.0
         total = _summed_eig_batch(mass, lik1)
-        if exact:
-            if grid_lik1 is None:
-                raise InvalidInputError("exact mode needs the candidate-grid likelihoods")
-            log_z = np.empty(chunk.shape[0])
-            for r in range(chunk.shape[0]):
-                emap = eig_rows(mass[r:r + 1], grid_lik1)
-                log_z[r] = logsumexp(beta_a * emap)
-            total = beta_a * total - n_queries * log_z
+        log_z = np.empty(chunk.shape[0])
+        for r in range(chunk.shape[0]):
+            emap = eig_rows(mass[r:r + 1], grid_lik1)
+            log_z[r] = logsumexp(beta_a * emap)
+        total = beta_a * total - n_queries * log_z
         total[empty] = -np.inf
         out[start:start + _SEARCH_CHUNK] = total
     return out

@@ -71,13 +71,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, out: bool = True,
+                exact: bool = True) -> None:
+    """Register ``--config`` and ``--seed``, plus ``--out`` and
+    ``--exact-likelihood`` for the subcommands that use them."""
     parser.add_argument("--config", metavar="PATH", help="flat key=value config file")
     parser.add_argument("--seed", type=int, metavar="N", help="override the config seed")
-    parser.add_argument("--out", metavar="DIR", default="out", help="output directory")
-    parser.add_argument("--exact-likelihood", action="store_true",
-                        help="use the normalized softmax query likelihood for "
-                             "belief estimation (slow at full scale)")
+    if out:
+        parser.add_argument("--out", metavar="DIR", default="out", help="output directory")
+    if exact:
+        parser.add_argument("--exact-likelihood", action="store_true",
+                            help="use the normalized softmax query likelihood for "
+                                 "belief estimation (slow at full scale)")
 
 
 def _build_parser() -> _Parser:
@@ -98,7 +103,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("estimate-belief", help="maximum-likelihood belief from a query CSV")
     p.add_argument("--queries", required=True, metavar="CSV", help="file with x1,x2 rows")
-    _add_common(p)
+    _add_common(p, out=False)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("teach", help="strategic teaching utilities and chosen example")
@@ -119,7 +124,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--query", required=True, metavar="X1,X2")
     p.add_argument("--lam", type=float, default=0.5,
                    help="identifiability weight of the level-4 hypothesis")
-    _add_common(p)
+    _add_common(p, out=False, exact=False)
     p.set_defaults(func=_cmd_intent_bf)
     return parser
 
@@ -130,7 +135,7 @@ def _resolve_config(args, base: ScenarioConfig | None = None) -> ScenarioConfig:
         cfg = parse_config(args.config, base=cfg)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if args.exact_likelihood:
+    if getattr(args, "exact_likelihood", False):
         cfg = replace(cfg, exact_likelihood=True)
     return cfg
 

@@ -174,9 +174,11 @@ def eig_rows(mass: np.ndarray, lik1: np.ndarray) -> np.ndarray:
 
     ``mass`` is a single (1, K) normalized belief and ``lik1`` the (C, K)
     answer-1 likelihoods of the candidates; the result is the (C,) gain map.
-    Its only caller is the exact normalizer of the attribution search.  The
-    arithmetic mirrors the scalar path (posterior normalization followed by
-    entropy) so the two agree to float precision.
+    It serves exact mode only: its one caller is the exact normalizer of the
+    attribution search, whose bits decide the rounding ties pinned by the
+    benchmark reference, so it stays frozen until that reference is
+    regenerated.  The arithmetic mirrors the scalar path (posterior
+    normalization followed by entropy) so the two agree to float precision.
     """
     prior_h = -np.sum(xlogy(mass, mass), axis=-1)
     t1 = mass * lik1

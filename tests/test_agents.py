@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import querymind
 from querymind.model import (
+    REWARD_FORMS,
     BeliefParams,
     GridBelief,
     InvalidInputError,
@@ -14,11 +19,18 @@ from querymind.model import (
     discretize_belief,
     uniform_belief,
 )
-from querymind.inference import QueryGrid, eig_map, expected_info_gain, likelihood_matrix
+from querymind.inference import (
+    ImpossibleEvidenceError,
+    QueryGrid,
+    eig_map,
+    expected_info_gain,
+    likelihood_matrix,
+)
 from querymind.agents import (
     BeliefEnsemble,
     MleSearchConfig,
     ParamRange,
+    _SEARCH_CHUNK,
     _dataset_likelihoods,
     _l2_policy_matrix,
     _objective_batch,
@@ -36,6 +48,8 @@ from querymind.agents import (
     teaching_candidates,
     tom_posterior,
 )
+from querymind.config import default_config
+from querymind.experiments import bimodal_config, sample_queries
 
 TG = ThetaGrid(-6.0, 6.0, 241)
 QG = QueryGrid(-6.0, 6.0, 49)
@@ -260,12 +274,17 @@ class TestMleBelief:
                    (6.0, -6.0), (3.0, -2.0), (4.0, -3.0)]
     SQ_QUERIES = [(2.0, -3.0), (-3.0, 3.0), (-6.0, 5.0), (-6.0, 3.0), (4.0, -4.0),
                   (5.0, -3.0), (2.0, -5.0), (3.0, -3.0)]
+    # The coarse-pass winner that the summed squared-distance estimate ties with.
+    SATURATION_TIE = (-6.0, 0.3, 6.0, 0.3, 0.5)
 
     @pytest.mark.parametrize("form, pairs, exact, want", [
         ("absolute_distance", ABS_QUERIES, False, (-6.0, 0.3, 6.0, 0.3, 0.5)),
         ("absolute_distance", ABS_QUERIES, True,
          (-2.25, 1.0090756983044573, 2.25, 0.7135242690016326, 0.4)),
-        (SQUARED_DISTANCE, SQ_QUERIES, False, (-6.0, 0.3, 6.0, 0.3, 0.5)),
+        # A saturation tie: every query sits at its ln 2 ceiling for both the
+        # refined estimate and SATURATION_TIE below, so rounding picks one.
+        (SQUARED_DISTANCE, SQ_QUERIES, False,
+         (-6.0, 0.42426406871192845, 6.0, 0.42426406871192845, 0.5)),
         (SQUARED_DISTANCE, SQ_QUERIES, True,
          (-2.25, 0.7135242690016326, 2.25, 1.0090756983044573, 0.6)),
         # Only diagonal queries: every candidate scores 0, so the lowest index wins.
@@ -275,6 +294,17 @@ class TestMleBelief:
         queries = [Query(x1, x2) for x1, x2 in pairs]
         est = mle_belief(queries, self.PIN_CFG, self.PIN_QG, self.PIN_TG, form, exact, 50.0)
         assert est.astuple() == want
+        if (form, exact) == (SQUARED_DISTANCE, False):
+            scores = [mle_objective(queries, BeliefParams(*bp), self.PIN_QG, self.PIN_TG, form)
+                      for bp in (want, self.SATURATION_TIE)]
+            assert abs(scores[0] - scores[1]) <= 4 * np.spacing(scores[0])
+
+    def test_p_z_range_outside_unit_interval_rejected(self):
+        with pytest.raises(InvalidInputError, match="p_z range"):
+            MleSearchConfig(p_z=ParamRange(0.1, 1.5, 3))
+        with pytest.raises(InvalidInputError, match="p_z range"):
+            MleSearchConfig(p_z=ParamRange(-0.1, 0.9, 3))
+        MleSearchConfig(p_z=ParamRange(0.0, 1.0, 3))
 
     def test_output_is_canonical(self):
         rng = np.random.default_rng(4)
@@ -284,6 +314,113 @@ class TestMleBelief:
                               p_z=ParamRange(0.3, 0.7, 3), n_refine_iters=1)
         est = mle_belief(queries, cfg, QG, TG)
         assert est.is_canonical
+
+
+class TestSeparableSummedKernel:
+    """``_objective_batch(exact=False)`` against the scalar ``mle_objective``."""
+
+    # (6, 0), (5, -1) and (-6, 0) give some sigma = 0.01 rows an answer of zero
+    # predictive probability under squared distance; (1, 1) is diagonal.
+    QUERIES = [Query(6.0, 0.0), Query(5.0, -1.0), Query(-6.0, 0.0), Query(1.0, 1.0),
+               Query(-4.0, 2.5), Query(0.5, -3.0)]
+    SPECIAL_ROWS = [
+        (-2.0, 0.5, 3.0, 1.5, 0.3),
+        (-2.0, 0.5, 3.0, 1.5, 0.3),      # duplicate row
+        (0.0, 1.0, 0.0, 1.0, 0.3),       # one component, written twice
+        (-2.0, 0.5, 3.0, 1.5, 0.0),      # p_z = 0
+        (-2.0, 0.5, 3.0, 1.5, 1.0),      # p_z = 1
+        (3.0, 0.7, -3.0, 1.2, 0.25),     # not canonical
+        (-6.0, 0.01, 0.0, 0.01, 0.7),    # zero-probability answers
+        (-6.0, 0.01, 6.0, 0.01, 0.5),
+        (0.0, 0.01, 0.0, 2.0, 0.9),
+    ]
+
+    def _rows(self, rng, n):
+        random_rows = np.column_stack([
+            rng.uniform(-6.0, 6.0, n), np.exp(rng.uniform(math.log(0.01), math.log(3.0), n)),
+            rng.uniform(-6.0, 6.0, n), np.exp(rng.uniform(math.log(0.01), math.log(3.0), n)),
+            rng.uniform(0.0, 1.0, n)])
+        return np.vstack([np.array(self.SPECIAL_ROWS), random_rows])
+
+    def _oracle(self, row, form):
+        bp = BeliefParams(*row)
+        try:
+            return mle_objective(self.QUERIES, bp, QG, TG, form)
+        except ImpossibleEvidenceError:
+            # The scalar path cannot normalize the posterior of an answer with
+            # probability exactly 0; the gain map adds that answer's limit, 0.
+            emap = eig_map(discretize_belief(bp, TG), QG, form)
+            return float(sum(emap[QG.index_of(q)] for q in self.QUERIES))
+
+    @pytest.mark.parametrize("form", REWARD_FORMS)
+    def test_matches_scalar_objective(self, form):
+        rows = self._rows(np.random.default_rng(61), 40)
+        lik1 = _dataset_likelihoods(self.QUERIES, TG.points, form)
+        got = _objective_batch(rows, lik1, TG.points, False, 50.0, None, len(self.QUERIES))
+        assert got[0] == got[1]
+        for value, row in zip(got, rows):
+            want = self._oracle(row, form)
+            assert abs(value - want) <= 1e-9 * abs(want)
+
+    def test_all_diagonal_dataset_scores_zero(self):
+        lik1 = _dataset_likelihoods([Query(1.0, 1.0), Query(-2.0, -2.0)], TG.points,
+                                    "absolute_distance")
+        rows = self._rows(np.random.default_rng(62), 20)
+        got = _objective_batch(rows, lik1, TG.points, False, 50.0, None, 2)
+        assert np.array_equal(got, np.zeros(rows.shape[0]))
+
+    @pytest.mark.parametrize("queries", [QUERIES, [Query(1.0, 1.0)]])
+    def test_unrepresentable_row_scores_minus_inf(self, queries):
+        # Far-off components underflow on the whole grid; with p_z = 1 the
+        # represented second component carries no weight.
+        rows = np.array([(200.0, 0.25, 300.0, 0.25, 0.5), (200.0, 0.25, 0.0, 1.0, 1.0),
+                         (-2.0, 0.5, 3.0, 1.5, 0.3), (0.0, 1.0, 0.0, 1.0, 0.3)])
+        lik1 = _dataset_likelihoods(queries, TG.points, "absolute_distance")
+        got = _objective_batch(rows, lik1, TG.points, False, 50.0, None, len(queries))
+        assert np.array_equal(got[:2], [-np.inf, -np.inf])
+        assert np.all(np.isfinite(got[2:]))
+        assert int(np.argmax(got)) >= 2
+
+    def test_chunks_do_not_change_values(self):
+        rows = self._rows(np.random.default_rng(63), 2 * _SEARCH_CHUNK + 5)
+        lik1 = _dataset_likelihoods(self.QUERIES, TG.points, SQUARED_DISTANCE)
+        whole = _objective_batch(rows, lik1, TG.points, False, 50.0, None, 6)
+        tail = _objective_batch(rows[-7:], lik1, TG.points, False, 50.0, None, 6)
+        assert np.array_equal(whole[-7:], tail)
+
+    def test_bytes_identical_across_blas_thread_counts(self):
+        code = (
+            "import hashlib, numpy as np, querymind as qm\n"
+            "from querymind.agents import _dataset_likelihoods, _objective_batch\n"
+            "tg = qm.ThetaGrid(-6.0, 6.0, 241)\n"
+            "rng = np.random.default_rng(5)\n"
+            "qs = [qm.Query(float(a), float(b)) for a, b in rng.uniform(-6, 6, (20, 2))]\n"
+            "rows = np.column_stack([rng.uniform(-6, 0, 3000), rng.uniform(0.2, 2, 3000),\n"
+            "                        rng.uniform(0, 6, 3000), rng.uniform(0.2, 2, 3000),\n"
+            "                        rng.uniform(0, 1, 3000)])\n"
+            "h = hashlib.sha256()\n"
+            "for form in qm.REWARD_FORMS:\n"
+            "    lik1 = _dataset_likelihoods(qs, tg.points, form)\n"
+            "    h.update(_objective_batch(rows, lik1, tg.points, False, 50.0, None, 20)"
+            ".tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(querymind.__file__)))
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                       OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                  capture_output=True, text=True)
+            digests.add(done.stdout.strip())
+        assert len(digests) == 1
+
+    @pytest.mark.parametrize("cfg", [default_config(), bimodal_config(0)], ids=["fig2", "fig3"])
+    def test_full_scale_summed_estimate_is_pinned(self, cfg):
+        queries = sample_queries(cfg, discretize_belief(cfg.prior, cfg.theta_grid))
+        est = mle_belief(queries, cfg.mle, cfg.query_grid, cfg.theta_grid, cfg.reward_form,
+                         False, cfg.beta_a)
+        assert est.astuple() == (-6.0, 0.25, 6.0, 0.25, 0.5)
 
 
 class TestTomPosterior:

@@ -54,6 +54,17 @@ class TestExitCodes:
         assert "mle.mu1_lo: must be finite" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["estimate-belief", "--queries", "qs.csv", "--out", "x"],
+        ["intent-bf", "--query=-2,2", "--out", "x"],
+        ["intent-bf", "--query=-2,2", "--exact-likelihood"],
+    ])
+    def test_unused_option_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
