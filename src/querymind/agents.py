@@ -27,6 +27,7 @@ from .model import (
     Query,
     ThetaGrid,
     _require_finite,
+    _require_probabilities,
     canonicalize,
     discretize_belief,
 )
@@ -66,12 +67,8 @@ class BeliefEnsemble:
         for p in particles:
             if not p.is_canonical:
                 raise InvalidInputError(f"particle {p.astuple()} is not canonical")
-        w = np.asarray(self.weights, dtype=np.float64)
-        object.__setattr__(self, "weights", w)
-        if w.shape != (len(particles),):
-            raise InvalidInputError("weight count does not match particle count")
-        if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-9:
-            raise InvalidInputError("weights must be nonnegative and sum to 1 within 1e-9")
+        object.__setattr__(self, "weights",
+                           _require_probabilities(self.weights, len(particles), "weights"))
 
     @classmethod
     def single(cls, bp: BeliefParams) -> "BeliefEnsemble":
@@ -381,21 +378,29 @@ def _l2_policy_matrix(ensemble: BeliefEnsemble, qg: QueryGrid, grid: ThetaGrid,
     return maps, policies
 
 
+def _observer_posteriors(weights: np.ndarray, policies: np.ndarray) -> np.ndarray:
+    """The level-3 observer's (J, C) particle posteriors ``w_j pi_j(c) / sum_i w_i pi_i(c)``
+    for (J,) weights and (J, C) level-2 policies.  A candidate that no particle
+    would ask (marginal exactly 0) gives every particle weight 0, not 0/0."""
+    joint = weights[:, None] * policies
+    marginal = np.sum(joint, axis=0)
+    return np.divide(joint, marginal, out=np.zeros_like(joint), where=marginal > 0)
+
+
 def tom_posterior(ensemble: BeliefEnsemble, observed: Query, qg: QueryGrid,
                   grid: ThetaGrid, beta_a: float,
                   form: str = ABSOLUTE_DISTANCE) -> BeliefEnsemble:
     """Reweight belief particles by how likely each was to ask the observed query.
 
-    The likelihood of a particle is its normalized level-2 policy probability
-    of the observed query.
+    :func:`_observer_posteriors` on the observed query's column; a query that
+    no particle would ask raises :class:`ImpossibleEvidenceError`.
     """
     idx = qg.index_of(observed)
-    lik = _l2_policy_matrix(ensemble, qg, grid, beta_a, form)[1][:, idx]
-    unnorm = ensemble.weights * lik
-    total = float(np.sum(unnorm))
-    if total <= 0.0:
+    policies = _l2_policy_matrix(ensemble, qg, grid, beta_a, form)[1]
+    weights = _observer_posteriors(ensemble.weights, policies[:, [idx]])[:, 0]
+    if not np.any(weights > 0):
         raise ImpossibleEvidenceError(f"query {observed} impossible under every particle")
-    return BeliefEnsemble(ensemble.particles, unnorm / total)
+    return BeliefEnsemble(ensemble.particles, weights)
 
 
 def teaching_candidates(qg: QueryGrid) -> list[LabeledExample]:
@@ -426,9 +431,7 @@ def _teaching_utility_table(theta_true: float, priors: Sequence[GridBelief],
     if weights is None:
         w = np.full(len(priors), 1.0 / len(priors))
     else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (len(priors),) or np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-9:
-            raise InvalidInputError("weights must be nonnegative and sum to 1")
+        w = _require_probabilities(weights, len(priors), "weights")
     total = np.zeros((cands.shape[0], 2))
     for weight, prior in zip(w, priors):
         target = prior.grid.index_of(theta_true)
@@ -478,50 +481,43 @@ def l4_utility(q: Query, true_index: int, ensemble: BeliefEnsemble, qg: QueryGri
     return float(tom_posterior(ensemble, q, qg, grid, beta_a, form).weights[true_index])
 
 
-def _l4_utilities(true_index: int, ensemble: BeliefEnsemble, lam: float,
-                  policy_matrix: np.ndarray, emap_true: np.ndarray) -> np.ndarray:
-    """Mixed information-seeking / identifiability utility per candidate.
-
-    The information term is normalized by ln 2 (the EIG ceiling for a binary
-    answer) so both terms live on [0, 1]; the mix is then rescaled by ln 2 so
-    that ``lam = 0`` reproduces the literal policy's utilities bit for bit.
-    """
-    marginal = np.sum(ensemble.weights[:, None] * policy_matrix, axis=0)
-    ident = ensemble.weights[true_index] * policy_matrix[true_index] / marginal
-    return (1.0 - lam) * emap_true + lam * LN2 * ident
+def _l4_policy_matrix(ensemble: BeliefEnsemble, lam: float, qg: QueryGrid, grid: ThetaGrid,
+                      beta_a: float, form: str) -> tuple[np.ndarray, np.ndarray]:
+    """(J, C) level-2 and level-4 query policies; level-4 row j takes particle j
+    as the asker's true belief and mixes its gain map with its observer posterior
+    (:func:`_observer_posteriors`) scaled by ln 2, the gain ceiling of a binary
+    answer, so that ``lam = 0`` reproduces the level-2 utilities bit for bit."""
+    if not 0.0 <= lam <= 1.0:
+        raise InvalidInputError(f"lambda must be in [0, 1], got {lam}")
+    maps, policies = _l2_policy_matrix(ensemble, qg, grid, beta_a, form)
+    ident = _observer_posteriors(ensemble.weights, policies)
+    utilities = (1.0 - lam) * maps + lam * LN2 * ident
+    return policies, np.stack([softmax_policy(u, beta_a) for u in utilities])
 
 
 def l4_query_policy(true_index: int, ensemble: BeliefEnsemble, lam: float,
                     qg: QueryGrid, grid: ThetaGrid, beta_a: float,
                     form: str = ABSOLUTE_DISTANCE) -> QueryPolicy:
-    """Query policy trading off information gain against belief identifiability."""
+    """Query policy trading off information gain against belief identifiability:
+    row ``true_index`` of :func:`_l4_policy_matrix`."""
     if not 0 <= true_index < len(ensemble.particles):
         raise InvalidInputError(f"true_index {true_index} out of range")
-    if not 0.0 <= lam <= 1.0:
-        raise InvalidInputError(f"lambda must be in [0, 1], got {lam}")
-    maps, pmat = _l2_policy_matrix(ensemble, qg, grid, beta_a, form)
-    u = _l4_utilities(true_index, ensemble, lam, pmat, maps[true_index])
-    return QueryPolicy(qg, softmax_policy(u, beta_a))
+    policies = _l4_policy_matrix(ensemble, lam, qg, grid, beta_a, form)[1]
+    return QueryPolicy(qg, policies[true_index])
 
 
 def bayes_factor(q: Query, ensemble: BeliefEnsemble, beta_a: float, lam: float,
                  qg: QueryGrid, grid: ThetaGrid, form: str = ABSOLUTE_DISTANCE) -> float:
-    """Literal-vs-rhetorical evidence ratio for an observed query.
+    """Literal-vs-rhetorical evidence ratio ``sum_j w_j pi2_j(q) / sum_j w_j pi4_j(q)``
+    of an observed query, over the policies of :func:`_l4_policy_matrix`.
 
-    Marginalizes both hypotheses over the ensemble: the numerator averages the
-    particles' level-2 policies, the denominator the level-4 policies where
-    each particle plays the role of the asker's true belief.  Values above 1
-    favor the information-seeking reading.
+    Values above 1 favor the information-seeking reading.  A level-4 marginal
+    that underflows to 0 raises :class:`ImpossibleEvidenceError`.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise InvalidInputError(f"lambda must be in [0, 1], got {lam}")
+    l2, l4 = _l4_policy_matrix(ensemble, lam, qg, grid, beta_a, form)
     idx = qg.index_of(q)
-    maps, pmat = _l2_policy_matrix(ensemble, qg, grid, beta_a, form)
-    numerator = float(np.sum(ensemble.weights * pmat[:, idx]))
-    denominator = 0.0
-    for j in range(len(ensemble.particles)):
-        u = _l4_utilities(j, ensemble, lam, pmat, maps[j])
-        denominator += float(ensemble.weights[j]) * float(softmax_policy(u, beta_a)[idx])
+    numerator = float(np.sum(ensemble.weights * l2[:, idx]))
+    denominator = float(np.sum(ensemble.weights * l4[:, idx]))
     if denominator <= 0.0:
         raise ImpossibleEvidenceError("level-4 marginal likelihood underflowed to zero")
     return numerator / denominator

@@ -23,7 +23,6 @@ from .model import (
     BeliefParams,
     Query,
     discretize_belief,
-    uniform_belief,
 )
 from .inference import ImpossibleEvidenceError, eig_map
 from .agents import BeliefEnsemble, bayes_factor, mle_belief
@@ -98,7 +97,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_reproduce)
 
     p = sub.add_parser("eig-map", help="export the gain map of the configured prior")
-    _add_common(p)
+    _add_common(p, exact=False)
     p.set_defaults(func=_cmd_eig_map)
 
     p = sub.add_parser("estimate-belief", help="maximum-likelihood belief from a query CSV")
@@ -117,7 +116,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--learner", type=int, default=2, help="learner level (2)")
     p.add_argument("--teacher", type=int, default=1, help="teacher level (1 or 3)")
     p.add_argument("--rounds", type=int, default=20)
-    _add_common(p)
+    _add_common(p, exact=False)
     p.set_defaults(func=_cmd_loop)
 
     p = sub.add_parser("intent-bf", help="literal-vs-rhetorical Bayes factor of a query")
@@ -225,9 +224,7 @@ def _cmd_eig_map(args) -> int:
     files = []
     _emit(files, out, "eig_true.csv", write_eig_csv, values, cfg.query_grid)
     _emit(files, out, "heatmap_true.svg", render_heatmap_svg, values, cfg.query_grid)
-    report = RunReport(kind="eig_map", config=cfg)
-    report.eig_true = values
-    report.belief_true = belief
+    report = RunReport(kind="eig_map", config=cfg, eig_true=values, belief_true=belief)
     _finish(out, cfg, report, files)
     print(f"max gain {fmt_real(values.max())} at candidate "
           f"{int(np.argmax(values))} of {cfg.query_grid.n_candidates}")

@@ -41,6 +41,7 @@ from .agents import (
     l2_select_query,
     l3_answer_policy,
     l3_teaching_utilities,
+    l3_teaching_utility,
     mle_belief,
 )
 
@@ -136,42 +137,28 @@ class RunReport:
     timings: dict[str, float] = field(default_factory=dict)
 
     def canonical_dict(self) -> dict:
-        def arr(a):
-            return None if a is None else [float(v) for v in a]
-
-        out = {
-            "kind": self.kind,
-            "config": _config_dict(self.config),
-            "queries": [[q.x1, q.x2] for q in self.queries],
-            "estimated": None if self.estimated is None else list(self.estimated.astuple()),
-            "eig_true": arr(self.eig_true),
-            "eig_estimated": arr(self.eig_estimated),
-            "correlation": self.correlation,
-            "mode_locations": None if self.mode_locations is None else list(self.mode_locations),
-            "p_z_hat": self.p_z_hat,
-            "belief_true": None if self.belief_true is None else arr(self.belief_true.mass),
-            "belief_estimated": (None if self.belief_estimated is None
-                                 else arr(self.belief_estimated.mass)),
-            "teaching_utils_uniform": arr(self.teaching_utils_uniform),
-            "teaching_utils_adaptive": arr(self.teaching_utils_adaptive),
-            "teaching_policy_uniform": arr(self.teaching_policy_uniform),
-            "teaching_policy_adaptive": arr(self.teaching_policy_adaptive),
-            "argmax_uniform": _example_dict(self.argmax_uniform),
-            "argmax_adaptive": _example_dict(self.argmax_adaptive),
-            "learner_mass_after_uniform": self.learner_mass_after_uniform,
-            "learner_mass_after_adaptive": self.learner_mass_after_adaptive,
-            "trace": [list(row) for row in self.trace],
-        }
-        return out
+        return {f.name: _report_value(getattr(self, f.name))
+                for f in fields(self) if f.name != "timings"}
 
     def to_json(self) -> str:
         return json.dumps(self.canonical_dict(), sort_keys=True, indent=1)
 
 
-def _example_dict(ex: LabeledExample | None):
-    if ex is None:
-        return None
-    return {"x1": ex.query.x1, "x2": ex.query.x2, "y": ex.y}
+def _report_value(value):
+    """JSON form of a report field: an array or grid belief becomes a list of
+    floats, a labeled example ``{x1, x2, y}``, any other dataclass goes through
+    :func:`_config_dict`, and lists and tuples are converted per element."""
+    if isinstance(value, GridBelief):
+        value = value.mass
+    if isinstance(value, np.ndarray):
+        return [float(v) for v in value]
+    if isinstance(value, LabeledExample):
+        return {"x1": value.query.x1, "x2": value.query.x2, "y": value.y}
+    if is_dataclass(value):
+        return _config_dict(value)
+    if isinstance(value, (list, tuple)):
+        return [_report_value(v) for v in value]
+    return value
 
 
 def _config_dict(obj):
@@ -245,7 +232,7 @@ def run_belief_correction(cfg: ScenarioConfig) -> RunReport:
     the posterior mass they would produce on the true parameter under the
     learner's actual belief.
     """
-    target = cfg.theta_grid.index_of(cfg.theta_true)
+    cfg.theta_grid.index_of(cfg.theta_true)  # an off-grid theta_true fails before the search
     report = _attribution(cfg, "belief_correction")
     false_belief = report.belief_true
 
@@ -268,12 +255,10 @@ def run_belief_correction(cfg: ScenarioConfig) -> RunReport:
     report.argmax_uniform = take_argmax(u_uniform)
     report.argmax_adaptive = take_argmax(u_adaptive)
 
-    def learner_mass(ex: LabeledExample) -> float:
-        post = posterior_update(false_belief, ex.query, ex.y, cfg.reward_form)
-        return float(post.mass[target])
-
-    report.learner_mass_after_uniform = learner_mass(report.argmax_uniform)
-    report.learner_mass_after_adaptive = learner_mass(report.argmax_adaptive)
+    report.learner_mass_after_uniform = l3_teaching_utility(
+        report.argmax_uniform, cfg.theta_true, false_belief, cfg.reward_form)
+    report.learner_mass_after_adaptive = l3_teaching_utility(
+        report.argmax_adaptive, cfg.theta_true, false_belief, cfg.reward_form)
     report.timings["teaching"] = time.perf_counter() - t0
     return report
 

@@ -16,6 +16,7 @@ pair has none.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ from .model import (
     ThetaGrid,
     _require_finite,
     _require_form,
+    _require_probabilities,
 )
 
 LN2 = float(np.log(2.0))
@@ -97,12 +99,8 @@ class QueryPolicy:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=np.float64)
-        object.__setattr__(self, "probs", probs)
-        if probs.shape != (self.grid.n_candidates,):
-            raise InvalidInputError("policy length does not match candidate count")
-        if np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > 1e-9:
-            raise InvalidInputError("policy must be nonnegative and sum to 1 within 1e-9")
+        object.__setattr__(self, "probs", _require_probabilities(
+            self.probs, self.grid.n_candidates, "policy"))
 
 
 def answer_likelihoods(points: np.ndarray, q: Query, form: str = ABSOLUTE_DISTANCE) -> np.ndarray:
@@ -160,13 +158,17 @@ def expected_info_gain(b: GridBelief, q: Query, form: str = ABSOLUTE_DISTANCE) -
     """Mutual information between the ideal point and the answer to ``q``.
 
     Diagonal queries (x1 == x2) carry a constant likelihood, leave the
-    posterior equal to the prior, and return exactly 0.
+    posterior equal to the prior, and return exactly 0.  An answer of zero
+    likelihood under the belief adds its limit, 0.
     """
     if q.is_diagonal:
         return 0.0
     p1 = predictive_answer_prob(b, q, form)
-    p0 = 1.0 - p1
-    return p1 * info_gain(b, q, 1, form) + p0 * info_gain(b, q, 0, form)
+    gain = 0.0
+    for y, p in ((1, p1), (0, 1.0 - p1)):
+        with contextlib.suppress(ImpossibleEvidenceError):
+            gain += p * info_gain(b, q, y, form)
+    return gain
 
 
 def eig_rows(mass: np.ndarray, lik1: np.ndarray) -> np.ndarray:

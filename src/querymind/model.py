@@ -37,6 +37,19 @@ def _require_finite(**values: float) -> None:
             raise InvalidInputError(f"{name} must be finite, got {value!r}")
 
 
+def _require_probabilities(values, n: int, name: str) -> np.ndarray:
+    """``values`` as a float64 (n,) vector: finite, nonnegative, summing to 1 within 1e-9."""
+    p = np.asarray(values, dtype=np.float64)
+    if p.shape != (n,):
+        raise InvalidInputError(f"{name} has shape {p.shape}, expected ({n},)")
+    if not np.all(np.isfinite(p)) or np.any(p < 0):
+        raise InvalidInputError(f"{name} entries must be finite and nonnegative")
+    total = float(p.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise InvalidInputError(f"{name} must sum to 1 within 1e-9, got {total!r}")
+    return p
+
+
 def _require_form(form: str) -> None:
     if form not in REWARD_FORMS:
         raise InvalidInputError(f"unknown reward form {form!r}; expected one of {REWARD_FORMS}")
@@ -144,16 +157,8 @@ class GridBelief:
     mass: np.ndarray
 
     def __post_init__(self) -> None:
-        mass = np.asarray(self.mass, dtype=np.float64)
-        object.__setattr__(self, "mass", mass)
-        if mass.shape != (self.grid.n_points,):
-            raise InvalidInputError(
-                f"mass has shape {mass.shape}, grid has {self.grid.n_points} points")
-        if not np.all(np.isfinite(mass)) or np.any(mass < 0):
-            raise InvalidInputError("mass entries must be finite and nonnegative")
-        total = float(mass.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise InvalidInputError(f"mass must sum to 1 within 1e-9, got {total!r}")
+        object.__setattr__(self, "mass",
+                           _require_probabilities(self.mass, self.grid.n_points, "mass"))
 
 
 def reward(theta: float, x: float, form: str = ABSOLUTE_DISTANCE) -> float:

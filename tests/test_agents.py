@@ -34,6 +34,7 @@ from querymind.agents import (
     _dataset_likelihoods,
     _l2_policy_matrix,
     _objective_batch,
+    _observer_posteriors,
     bayes_factor,
     l2_query_policy,
     l2_select_query,
@@ -69,8 +70,9 @@ class TestBeliefEnsemble:
     def test_rejects_bad_weights(self):
         with pytest.raises(InvalidInputError):
             BeliefEnsemble((DOMINANT_LEFT,), np.array([0.5]))
-        with pytest.raises(InvalidInputError):
-            BeliefEnsemble((DOMINANT_LEFT, DOMINANT_RIGHT), np.array([1.5, -0.5]))
+        for weights in ([1.5, -0.5], [math.nan, math.nan], [math.inf, -math.inf]):
+            with pytest.raises(InvalidInputError):
+                BeliefEnsemble((DOMINANT_LEFT, DOMINANT_RIGHT), np.array(weights))
 
     def test_single(self):
         ens = BeliefEnsemble.single(BeliefParams(3.0, 1.0, -3.0, 1.0, 0.5))
@@ -343,14 +345,19 @@ class TestSeparableSummedKernel:
         return np.vstack([np.array(self.SPECIAL_ROWS), random_rows])
 
     def _oracle(self, row, form):
-        bp = BeliefParams(*row)
-        try:
-            return mle_objective(self.QUERIES, bp, QG, TG, form)
-        except ImpossibleEvidenceError:
-            # The scalar path cannot normalize the posterior of an answer with
-            # probability exactly 0; the gain map adds that answer's limit, 0.
-            emap = eig_map(discretize_belief(bp, TG), QG, form)
-            return float(sum(emap[QG.index_of(q)] for q in self.QUERIES))
+        return mle_objective(self.QUERIES, BeliefParams(*row), QG, TG, form)
+
+    @pytest.mark.parametrize("row", [(4.069, 0.0473, 2.434, 0.0126, 0.991),
+                                     (-3.772, 0.0159, -0.459, 0.0108, 0.211)])
+    def test_scalar_oracle_scores_zero_probability_answers(self, row):
+        # One answer to some query has predictive probability exactly 0 under
+        # these beliefs; the scalar path adds its limit, 0, like the kernel.
+        lik1 = _dataset_likelihoods(self.QUERIES, TG.points, SQUARED_DISTANCE)
+        kernel = _objective_batch(np.array([row]), lik1, TG.points, False, 50.0, None,
+                                  len(self.QUERIES))[0]
+        assert abs(self._oracle(row, SQUARED_DISTANCE) - kernel) <= 1e-9 * abs(kernel)
+        assert math.isfinite(mle_objective(self.QUERIES, BeliefParams(*row), QG, TG,
+                                           SQUARED_DISTANCE, exact=True))
 
     @pytest.mark.parametrize("form", REWARD_FORMS)
     def test_matches_scalar_objective(self, form):
@@ -452,6 +459,19 @@ class TestTomPosterior:
         post = tom_posterior(ens, Query(1.0, 2.0), QG, TG, 0.0)
         np.testing.assert_allclose(post.weights, ens.weights, atol=1e-12)
 
+    def test_observer_gives_unaskable_candidates_zero_weight(self):
+        weights = np.array([0.25, 0.75])
+        policies = np.array([[0.5, 0.0, 0.5], [0.0, 0.0, 1.0]])
+        post = _observer_posteriors(weights, policies)
+        np.testing.assert_array_equal(post[:, 1], [0.0, 0.0])
+        np.testing.assert_array_equal(post[:, 0], [1.0, 0.0])
+        np.testing.assert_allclose(post[:, 2], [0.125 / 0.875, 0.75 / 0.875], rtol=1e-15)
+
+    def test_query_no_particle_would_ask_is_impossible(self):
+        # At this rationality every particle's policy underflows to 0 on (-2, 2).
+        with pytest.raises(ImpossibleEvidenceError):
+            tom_posterior(two_particle_ensemble(), Query(-2.0, 2.0), QG, TG, 1e5)
+
 
 class TestTeaching:
     def test_diagonal_candidate_keeps_prior_mass(self):
@@ -529,9 +549,12 @@ class TestAnswerPolicy:
     def test_bad_weights_rejected(self):
         prior = discretize_belief(DOMINANT_LEFT, TG)
         q = Query(-3.0, 2.0)
-        for weights in ([1.0], [0.1, 0.1], [1.5, -0.5]):
+        for weights in ([1.0], [0.1, 0.1], [1.5, -0.5], [math.nan, math.nan],
+                        [math.inf, math.inf]):
             with pytest.raises(InvalidInputError):
                 l3_answer_policy(2.0, q, [prior, prior], weights, 50.0)
+            with pytest.raises(InvalidInputError):
+                l3_teaching_utilities(2.0, [prior, prior], weights, QueryGrid(-6.0, 6.0, 3))
 
 
 class TestL4:
@@ -609,3 +632,28 @@ class TestBayesFactor:
         ens = two_particle_ensemble()
         with pytest.raises(InvalidInputError):
             bayes_factor(Query(0.0, 1.0), ens, 50.0, 1.5, QG, TG)
+
+    def test_lambda_checked_before_query(self):
+        with pytest.raises(InvalidInputError, match="lambda"):
+            bayes_factor(Query(0.1, 1.0), two_particle_ensemble(), 50.0, 1.5, QG, TG)
+
+    def test_underflowed_level4_marginal_is_impossible_evidence(self):
+        # At this rationality every policy underflows to 0 on most candidates;
+        # the observer weighs those candidates 0 instead of dividing 0 by 0.
+        with pytest.raises(ImpossibleEvidenceError, match="level-4 marginal"):
+            bayes_factor(Query(-2.0, 2.0), two_particle_ensemble(), 1e5, 0.5, QG, TG)
+
+    @pytest.mark.parametrize("n", [1, 3, 9])
+    def test_matches_per_particle_level4_policies(self, n):
+        rng = np.random.default_rng(n)
+        particles = tuple(BeliefParams(float(a), float(s1), float(b), float(s2), float(p))
+                          for a, b, s1, s2, p in zip(rng.uniform(-5, -1, n), rng.uniform(0, 5, n),
+                                                     rng.uniform(0.5, 2, n), rng.uniform(0.5, 2, n),
+                                                     rng.uniform(0, 1, n)))
+        ens = BeliefEnsemble(particles, rng.dirichlet(np.ones(n)))
+        q = QG.query_at(int(rng.integers(QG.n_candidates)))
+        idx = QG.index_of(q)
+        _, l2 = _l2_policy_matrix(ens, QG, TG, 20.0, "absolute_distance")
+        l4 = [l4_query_policy(j, ens, 0.5, QG, TG, 20.0).probs[idx] for j in range(n)]
+        want = float(ens.weights @ l2[:, idx]) / float(ens.weights @ np.array(l4))
+        assert bayes_factor(q, ens, 20.0, 0.5, QG, TG) == pytest.approx(want, rel=1e-12)

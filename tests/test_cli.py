@@ -58,6 +58,8 @@ class TestExitCodes:
         ["estimate-belief", "--queries", "qs.csv", "--out", "x"],
         ["intent-bf", "--query=-2,2", "--out", "x"],
         ["intent-bf", "--query=-2,2", "--exact-likelihood"],
+        ["loop", "--rounds", "2", "--exact-likelihood", "--out", "x"],
+        ["eig-map", "--exact-likelihood", "--out", "x"],
     ])
     def test_unused_option_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -150,6 +152,14 @@ class TestEstimateAndIntent:
 
     def test_intent_bf_bad_query_is_runtime_error(self, capsys):
         assert main(["intent-bf", "--query", "oops"]) == 2
+
+    def test_intent_bf_underflowed_level4_marginal_is_runtime_error(self, tmp_path, capsys):
+        # Every policy underflows to 0 on most candidates at this rationality.
+        cfg = tmp_path / "sharp.cfg"
+        cfg.write_text("agent.beta_a = 100000\n")
+        assert main(["intent-bf", "--query=-2,2", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: level-4 marginal likelihood underflowed to zero\n"
 
     def test_intent_bf_matches_brute_force_at_reduced_scale(self, tmp_path, capsys):
         from test_acceptance import brute_bayes_factor

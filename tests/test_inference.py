@@ -22,6 +22,7 @@ from querymind.model import (
 )
 from querymind.inference import (
     QueryGrid,
+    QueryPolicy,
     answer_likelihoods,
     eig_map,
     entropy,
@@ -345,3 +346,11 @@ class TestQueryGrid:
         qg = QueryGrid(-6.0, 6.0, 49)
         with pytest.raises(InvalidInputError):
             qg.index_of(Query(0.1, 0.0))
+
+
+class TestQueryPolicy:
+    @pytest.mark.parametrize("probs", [[math.nan] * 9, [math.inf] + [0.0] * 8,
+                                       [1.5, -0.5] + [0.0] * 7, [0.5] * 2, [0.1] * 9])
+    def test_rejects_non_probability_vectors(self, probs):
+        with pytest.raises(InvalidInputError):
+            QueryPolicy(QueryGrid(-1.0, 1.0, 3), probs)
