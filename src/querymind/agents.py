@@ -37,8 +37,8 @@ from .inference import (
     QueryGrid,
     QueryPolicy,
     _binary_entropy,
+    _log_normalizers,
     eig_map,
-    eig_rows,
     expected_info_gain,
     likelihood_matrix,
     posterior_update,
@@ -48,7 +48,9 @@ from .inference import (
 
 # Batch size for vectorized search over candidate mixtures; bounds peak
 # memory at roughly batch * n_grid_points * 8 bytes per temporary in exact
-# mode and batch * n_queries * 8 bytes in the summed kernel.
+# mode and batch * n_queries * 8 bytes in the summed kernel.  Exact mode also
+# holds the shared (C, K) complement ``1 - L`` of the candidate-grid
+# likelihoods and one (C, K) buffer per normalizer worker.
 _SEARCH_CHUNK = 1024
 
 
@@ -183,9 +185,9 @@ def _summed_eig_batch(mass: np.ndarray, lik1: np.ndarray) -> np.ndarray:
 
     Exact mode only: it is the data term of the exact objective, whose bits
     decide the rounding ties pinned by the benchmark reference, so it stays
-    frozen until that reference is regenerated.  Algebraically identical to
-    :func:`querymind.inference.eig_rows` summed over the (N, K) likelihood
-    rows, organized as fused multiply-sums:
+    frozen until that reference is regenerated.  Algebraically the gain map
+    of :func:`querymind.inference._posterior_gain_map` summed over the (N, K)
+    likelihood rows, organized as fused multiply-sums:
     ``H(post_y) = ln p_y - (1/p_y) * sum_k t_yk ln t_yk`` with
     ``t_y = mass * lik_y``.  All reductions are fixed-order einsum loops, so
     results do not depend on BLAS threading.
@@ -267,22 +269,23 @@ def _objective_batch(params: np.ndarray, lik1: np.ndarray, points: np.ndarray,
     and the result is the normalized log-likelihood under the softmax query
     policy, where every one of the ``n_queries`` dataset queries contributes
     a normalizer term; it runs on the mixture mass, floored as a whole.
+    The normalizer (:func:`querymind.inference._log_normalizers`) shares one
+    (C, K) ``1 - grid_lik1`` across all rows and holds one (C, K) buffer per
+    worker thread on top of the chunk's temporaries.
     In both modes a row with no representable grid mass scores -inf.
     """
     if not exact:
         return _separable_summed_eig(params, lik1, points)
     if grid_lik1 is None:
         raise InvalidInputError("exact mode needs the candidate-grid likelihoods")
+    grid_lik0 = 1.0 - grid_lik1
     out = np.empty(params.shape[0])
     for start in range(0, params.shape[0], _SEARCH_CHUNK):
         chunk = params[start:start + _SEARCH_CHUNK]
         mass = _mixture_mass_batch(chunk, points)
         empty = mass.sum(axis=1) <= 0.0
         total = _summed_eig_batch(mass, lik1)
-        log_z = np.empty(chunk.shape[0])
-        for r in range(chunk.shape[0]):
-            emap = eig_rows(mass[r:r + 1], grid_lik1)
-            log_z[r] = logsumexp(beta_a * emap)
+        log_z = _log_normalizers(mass, grid_lik1, grid_lik0, beta_a)
         total = beta_a * total - n_queries * log_z
         total[empty] = -np.inf
         out[start:start + _SEARCH_CHUNK] = total
@@ -425,7 +428,8 @@ def _teaching_utility_table(theta_true: float, priors: Sequence[GridBelief],
                             weights: Sequence[float] | None,
                             cands: np.ndarray, form: str) -> np.ndarray:
     """(C, 2) ensemble-averaged posterior mass on the true ideal point's cell
-    after each candidate query is answered ``y = 0`` (column 0) or 1."""
+    after each candidate query is answered ``y = 0`` (column 0) or 1.  An
+    answer of zero likelihood under a prior adds utility 0 for that prior."""
     if len(priors) == 0:
         raise InvalidInputError("need at least one learner-belief particle")
     if weights is None:
@@ -438,7 +442,9 @@ def _teaching_utility_table(theta_true: float, priors: Sequence[GridBelief],
         lik1 = likelihood_matrix(prior.grid.points, cands, form)
         for y, lik in ((0, 1.0 - lik1), (1, lik1)):
             t = prior.mass[None, :] * lik
-            total[:, y] += weight * (t[:, target] / np.sum(t, axis=1))
+            s = np.sum(t, axis=1)
+            total[:, y] += weight * np.divide(t[:, target], s, out=np.zeros_like(s),
+                                              where=s > 0)
     return total
 
 
@@ -464,7 +470,11 @@ def l3_teaching_policy(theta_true: float, priors: Sequence[GridBelief],
 def l3_answer_policy(theta_true: float, q: Query, priors: Sequence[GridBelief],
                      weights: Sequence[float] | None, beta_h: float,
                      form: str = ABSOLUTE_DISTANCE) -> float:
-    """Probability that a strategic teacher answers ``y = 1`` to a fixed query."""
+    """Probability that a strategic teacher answers ``y = 1`` to a fixed query.
+
+    An answer that no prior can explain has utility 0, so the result is
+    finite even when one answer is impossible under every prior.
+    """
     u = _teaching_utility_table(theta_true, priors, weights, np.array([[q.x1, q.x2]]), form)
     return float(softmax_policy(u[0], beta_h)[1])
 

@@ -4,7 +4,11 @@ Everything operates on finite grids, so expectations are plain sums and the
 expected information gain of a query is computed exactly rather than
 estimated.  All reductions are fixed-order ``np.sum`` or ``np.einsum`` loops
 (never BLAS: no ``@``, ``dot`` or ``einsum(optimize=...)``), which keeps
-results bit-identical across thread counts.
+results bit-identical across thread counts.  The exact normalizer
+(:func:`_log_normalizers`) spreads belief rows over Python threads: each
+row's gain map is computed by one thread, start to finish, with the same
+operations in the same order whatever the thread count, so the threads
+change only which core computes a row, never its bits.
 
 Gain maps over a whole query grid use the mutual-information ("dual") form
 ``EIG(q) = H_b(L_q . m) - m . H_b(L_q)``: two ``einsum("ck,k->c", ...)``
@@ -18,10 +22,12 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, xlogy
+from scipy.special import expit, logsumexp, xlogy
 
 from .model import (
     ABSOLUTE_DISTANCE,
@@ -171,30 +177,61 @@ def expected_info_gain(b: GridBelief, q: Query, form: str = ABSOLUTE_DISTANCE) -
     return gain
 
 
-def eig_rows(mass: np.ndarray, lik1: np.ndarray) -> np.ndarray:
-    """Expected information gain of one belief on every candidate query.
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    ``mass`` is a single (1, K) normalized belief and ``lik1`` the (C, K)
-    answer-1 likelihoods of the candidates; the result is the (C,) gain map.
-    It serves exact mode only: its one caller is the exact normalizer of the
-    attribution search, whose bits decide the rounding ties pinned by the
-    benchmark reference, so it stays frozen until that reference is
-    regenerated.  The arithmetic mirrors the scalar path (posterior
-    normalization followed by entropy) so the two agree to float precision.
+
+def _posterior_gain_map(m: np.ndarray, lik1: np.ndarray, lik0: np.ndarray,
+                        buf: np.ndarray) -> np.ndarray:
+    """(C,) expected information gain of the (1, K) belief ``m`` on every candidate.
+
+    ``lik1`` and ``lik0 = 1 - lik1`` are the (C, K) answer likelihoods and
+    ``buf`` a (C, K) work array.  The arithmetic mirrors the scalar path
+    (posterior normalization followed by entropy, answer 1 before answer 0),
+    so the two agree to float precision.
     """
-    prior_h = -np.sum(xlogy(mass, mass), axis=-1)
-    t1 = mass * lik1
-    p1 = np.sum(t1, axis=-1)
-    t0 = mass * (1.0 - lik1)
-    p0 = np.sum(t0, axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        post1 = t1 / p1[..., None]
-        post0 = t0 / p0[..., None]
-    h1 = -np.sum(xlogy(post1, post1), axis=-1)
-    h0 = -np.sum(xlogy(post0, post0), axis=-1)
-    # An answer with zero predictive probability adds its limit, 0.
-    return (np.where(p1 > 0, p1 * (prior_h - h1), 0.0)
-            + np.where(p0 > 0, p0 * (prior_h - h0), 0.0))
+    prior_h = -np.sum(xlogy(m, m), axis=-1)
+    terms = []
+    for lik in (lik1, lik0):
+        np.multiply(m, lik, out=buf)
+        p = np.sum(buf, axis=-1)
+        np.divide(buf, p[:, None], out=buf)
+        xlogy(buf, buf, out=buf)
+        h = -np.sum(buf, axis=-1)
+        # An answer with zero predictive probability adds its limit, 0.
+        terms.append(np.where(p > 0, p * (prior_h - h), 0.0))
+    return terms[0] + terms[1]
+
+
+def _log_normalizers(mass: np.ndarray, lik1: np.ndarray, lik0: np.ndarray,
+                     beta: float) -> np.ndarray:
+    """``log sum_c exp(beta * EIG_c)`` over the C candidates for each (B, K) mass row.
+
+    The softmax query policy's normalizer, on :func:`_posterior_gain_map` maps.
+    It serves exact mode only, whose bits decide the rounding ties pinned by
+    the benchmark reference, so its arithmetic stays frozen until that
+    reference is regenerated.  Rows are dealt round-robin to one thread per
+    CPU; each thread owns one (C, K) buffer and writes only its own rows.
+    Workers call only private functions: perfbench's tracer wraps the public
+    ones with one span stack, which a second thread would corrupt.
+    """
+    n = mass.shape[0]
+    out = np.empty(n)
+    workers = min(_cpu_count(), n)
+
+    def work(first: int) -> None:
+        buf = np.empty(lik1.shape)
+        # numpy's error state is per thread.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for r in range(first, n, workers):
+                out[r] = logsumexp(beta * _posterior_gain_map(mass[r:r + 1], lik1, lik0, buf))
+
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(work, range(workers)))
+    return out
 
 
 def _binary_entropy(p: np.ndarray) -> np.ndarray:

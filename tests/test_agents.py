@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import querymind
+from querymind import inference
 from querymind.model import (
     REWARD_FORMS,
     BeliefParams,
@@ -430,6 +432,84 @@ class TestSeparableSummedKernel:
         assert est.astuple() == (-6.0, 0.25, 6.0, 0.25, 0.5)
 
 
+class TestExactNormalizer:
+    """``_objective_batch(exact=True)`` pinned bit for bit at any thread count."""
+
+    # sha256 of the (40,) objective bytes on the fig3 seed-0 queries; a
+    # change to any bit of the exact arithmetic shows here.
+    DIGESTS = {
+        "absolute_distance": "e6d91a00f49ef340748ab73edb61fcd89e7a27191bc6255b8ad266a13e3b9c1e",
+        SQUARED_DISTANCE: "e1ef71053c969e626e6fade1df1c43bbbaa60795df52a7859a5540a10cc6245d",
+    }
+    # The same density twice; rounding decides which one wins the search.
+    TIE = [(0.0, 2.0, 0.0, 2.0, 0.1), (0.0, 2.0, 0.0, 2.0, 0.9)]
+    UNREPRESENTABLE = (200.0, 0.25, 300.0, 0.25, 0.5)
+    CODE = (
+        "import hashlib, sys, numpy as np, querymind as qm\n"
+        "from querymind.agents import _dataset_likelihoods, _objective_batch\n"
+        "from querymind.experiments import bimodal_config, sample_queries\n"
+        "from querymind.inference import likelihood_matrix\n"
+        "cfg = bimodal_config(0)\n"
+        "qs = sample_queries(cfg, qm.discretize_belief(cfg.prior, cfg.theta_grid))\n"
+        "rows = np.frombuffer(bytes.fromhex(sys.stdin.read())).reshape(-1, 5)\n"
+        "points = cfg.theta_grid.points\n"
+        "for form in qm.REWARD_FORMS:\n"
+        "    grid_lik1 = likelihood_matrix(points, cfg.query_grid.candidates, form)\n"
+        "    got = _objective_batch(rows, _dataset_likelihoods(qs, points, form), points,\n"
+        "                           True, cfg.beta_a, grid_lik1, len(qs))\n"
+        "    print(form, hashlib.sha256(got.tobytes()).hexdigest())\n"
+    )
+
+    def _rows(self):
+        # sigma down to 0.01 gives 295 answers of zero predictive probability
+        # on the candidate grid under squared distance.
+        rows = TestSeparableSummedKernel()._rows(np.random.default_rng(71), 28)
+        return np.vstack([np.array(self.TIE + [self.UNREPRESENTABLE]), rows])
+
+    def _scores(self, form):
+        cfg = bimodal_config(0)
+        queries = sample_queries(cfg, discretize_belief(cfg.prior, cfg.theta_grid))
+        points = cfg.theta_grid.points
+        grid_lik1 = likelihood_matrix(points, cfg.query_grid.candidates, form)
+        return _objective_batch(self._rows(), _dataset_likelihoods(queries, points, form),
+                                points, True, cfg.beta_a, grid_lik1, len(queries))
+
+    @pytest.mark.parametrize("form", REWARD_FORMS)
+    def test_bytes_are_pinned(self, form):
+        got = self._scores(form)
+        assert hashlib.sha256(got.tobytes()).hexdigest() == self.DIGESTS[form]
+        assert got[2] == -np.inf
+        assert np.all(np.isfinite(got[3:]))
+        if form == "absolute_distance":
+            assert got[:2].tolist() == [-121.14544991725427, -121.14544991725404]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_bytes_do_not_depend_on_worker_count(self, workers, monkeypatch):
+        # More workers than cores and frequent thread switches: a row left
+        # unwritten, or computed in a buffer another worker shares, would
+        # change the digest.
+        monkeypatch.setattr(inference, "_cpu_count", lambda: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for form in REWARD_FORMS:
+                got = self._scores(form)
+                assert hashlib.sha256(got.tobytes()).hexdigest() == self.DIGESTS[form]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_bytes_identical_across_blas_thread_counts(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(querymind.__file__)))
+        want = "".join(f"{form} {self.DIGESTS[form]}\n" for form in REWARD_FORMS)
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                       OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", self.CODE], env=env, check=True,
+                                  input=self._rows().tobytes().hex(),
+                                  capture_output=True, text=True)
+            assert done.stdout == want
+
+
 class TestTomPosterior:
     def test_single_particle_unchanged(self):
         ens = BeliefEnsemble.single(DOMINANT_LEFT)
@@ -507,6 +587,25 @@ class TestTeaching:
         probs = l3_teaching_policy(2.0, [prior], None, QG, 0.0)
         np.testing.assert_array_equal(probs, np.full(2 * QG.n_candidates,
                                                      0.5 / QG.n_candidates))
+
+    def test_answer_impossible_under_the_prior_has_zero_utility(self):
+        # A point-mass-like belief at 5: under squared distance many answers
+        # have zero likelihood everywhere the prior has mass.
+        prior = discretize_belief(BeliefParams(5.0, 0.01, 5.0, 0.01, 0.5), TG)
+        utils = l3_teaching_utilities(2.0, [prior], None, QG, SQUARED_DISTANCE)
+        assert not np.any(np.isnan(utils))
+        assert math.isfinite(utils[int(np.argmax(utils))])
+        probs = l3_teaching_policy(2.0, [prior], None, QG, 50.0, SQUARED_DISTANCE)
+        assert abs(float(np.sum(probs)) - 1.0) <= 1e-9
+        # y = 0 to (-6, -4) is impossible under a belief at 5; y = 1 keeps
+        # the prior's mass on theta = 5, so a strategic teacher answers 1.
+        q = Query(-6.0, -4.0)
+        utils = l3_teaching_utilities(5.0, [prior], None, QG, SQUARED_DISTANCE)
+        idx = 2 * QG.index_of(q)
+        assert utils[idx] == 0.0
+        assert utils[idx + 1] == pytest.approx(
+            l3_teaching_utility(LabeledExample(q, 1), 5.0, prior, SQUARED_DISTANCE), abs=1e-12)
+        assert l3_answer_policy(5.0, q, [prior], None, 50.0, SQUARED_DISTANCE) == 1.0
 
     @pytest.mark.xfail(
         strict=True,
