@@ -10,6 +10,7 @@ the literal and the identifiability-seeking asker.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,6 +39,7 @@ from .inference import (
     QueryPolicy,
     _binary_entropy,
     _log_normalizers,
+    _require_rationality,
     eig_map,
     expected_info_gain,
     likelihood_matrix,
@@ -48,10 +50,16 @@ from .inference import (
 
 # Batch size for vectorized search over candidate mixtures; bounds peak
 # memory at roughly batch * n_grid_points * 8 bytes per temporary in exact
-# mode and batch * n_queries * 8 bytes in the summed kernel.  Exact mode also
-# holds the shared (C, K) complement ``1 - L`` of the candidate-grid
-# likelihoods and one (C, K) buffer per normalizer worker.
+# mode and batch * n_queries * 8 bytes in the summed kernel.  While exact mode
+# computes normalizers it also holds the (C, K) candidate-grid likelihoods
+# ``L``, their shared complement ``1 - L`` and one (C, K) buffer per
+# normalizer worker; a search whose coarse normalizers are cached builds
+# these only for its refinement passes.
 _SEARCH_CHUNK = 1024
+
+# Search coordinates are (mu1, mu2, log s1, log s2, p_z): the sigma axes of
+# the five search ranges are gridded in log space.
+_LOG_SCALED = (False, False, True, True, False)
 
 
 @dataclass(frozen=True)
@@ -256,39 +264,90 @@ def _separable_summed_eig(params: np.ndarray, lik1: np.ndarray,
     return out
 
 
+def _exact_log_normalizers(params: np.ndarray, points: np.ndarray, grid_lik1: np.ndarray,
+                           beta_a: float) -> np.ndarray:
+    """(B,) softmax query-policy normalizers ``log sum_c exp(beta_a * EIG_c)``
+    of the mixture mass of each (mu1, s1, mu2, s2, p_z) row, chunk by chunk.
+
+    :func:`querymind.inference._log_normalizers` shares one (C, K)
+    ``1 - grid_lik1`` across all rows and holds one (C, K) buffer per worker
+    thread on top of the chunk's temporaries.
+    """
+    grid_lik0 = 1.0 - grid_lik1
+    out = np.empty(params.shape[0])
+    for start in range(0, params.shape[0], _SEARCH_CHUNK):
+        rows = slice(start, start + _SEARCH_CHUNK)
+        out[rows] = _log_normalizers(_mixture_mass_batch(params[rows], points),
+                                     grid_lik1, grid_lik0, beta_a)
+    return out
+
+
+def _search_rows(axes: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The grid over five search axes, enumerated row-major: its (B, 5) search
+    coordinates and the (B, 5) (mu1, s1, mu2, s2, p_z) rows, in sigma units,
+    that the objective kernels score."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    cand = np.stack([m.ravel() for m in mesh], axis=1)
+    params = np.column_stack([cand[:, 0], np.exp(cand[:, 2]),
+                              cand[:, 1], np.exp(cand[:, 3]), cand[:, 4]])
+    return cand, params
+
+
+def _coarse_axes(ranges: Sequence[ParamRange]) -> list[np.ndarray]:
+    """Coarse search axes of the (mu1, mu2, sigma1, sigma2, p_z) ranges."""
+    return [np.log(r.values()) if log else r.values() for r, log in zip(ranges, _LOG_SCALED)]
+
+
+@functools.lru_cache(maxsize=8)
+def _coarse_log_normalizers(ranges: tuple[ParamRange, ...], grid: ThetaGrid, qg: QueryGrid,
+                            form: str, beta_a: float) -> np.ndarray:
+    """Read-only exact-mode normalizers of every row of a coarse search grid.
+
+    ``ranges`` are the (mu1, mu2, sigma1, sigma2, p_z) search ranges; rows
+    follow :func:`mle_belief`'s coarse pass.  A normalizer depends on the
+    candidate belief, the grids, the reward form and ``beta_a``, never on the
+    observed queries, so every dataset searched on one coarse grid shares
+    this array.  Built lazily, once per key, by :func:`_exact_log_normalizers`.
+    """
+    points = grid.points
+    log_z = _exact_log_normalizers(_search_rows(_coarse_axes(ranges))[1], points,
+                                   likelihood_matrix(points, qg.candidates, form), beta_a)
+    log_z.flags.writeable = False
+    return log_z
+
+
 def _objective_batch(params: np.ndarray, lik1: np.ndarray, points: np.ndarray,
                      exact: bool, beta_a: float, grid_lik1: np.ndarray | None,
-                     n_queries: int) -> np.ndarray:
+                     n_queries: int, log_z: np.ndarray | None = None) -> np.ndarray:
     """Summed EIG of the dataset queries for each (mu1, s1, mu2, s2, p_z) row.
 
     ``lik1`` is (N, K) over the non-diagonal dataset queries (diagonals add
     zero gain).  The summed score uses the separable dual form
     (:func:`_separable_summed_eig`), where each component density is floored
-    at ``DENSITY_FLOOR`` on its own before it is mixed.  In exact mode
-    ``grid_lik1`` is the (C, K) likelihood matrix of the full candidate grid
-    and the result is the normalized log-likelihood under the softmax query
-    policy, where every one of the ``n_queries`` dataset queries contributes
-    a normalizer term; it runs on the mixture mass, floored as a whole.
-    The normalizer (:func:`querymind.inference._log_normalizers`) shares one
-    (C, K) ``1 - grid_lik1`` across all rows and holds one (C, K) buffer per
-    worker thread on top of the chunk's temporaries.
+    at ``DENSITY_FLOOR`` on its own before it is mixed.  In exact mode the
+    result is the normalized log-likelihood under the softmax query policy,
+    where every one of the ``n_queries`` dataset queries contributes a
+    normalizer term; it runs on the mixture mass, floored as a whole.  The
+    (B,) normalizers are ``log_z`` when given (the cached coarse pass of
+    :func:`_coarse_log_normalizers`), and otherwise computed from
+    ``grid_lik1``, the (C, K) likelihood matrix of the full candidate grid,
+    by :func:`_exact_log_normalizers`.
     In both modes a row with no representable grid mass scores -inf.
     """
     if not exact:
         return _separable_summed_eig(params, lik1, points)
-    if grid_lik1 is None:
-        raise InvalidInputError("exact mode needs the candidate-grid likelihoods")
-    grid_lik0 = 1.0 - grid_lik1
+    if log_z is None:
+        if grid_lik1 is None:
+            raise InvalidInputError("exact mode needs the candidate-grid likelihoods")
+        log_z = _exact_log_normalizers(params, points, grid_lik1, beta_a)
     out = np.empty(params.shape[0])
     for start in range(0, params.shape[0], _SEARCH_CHUNK):
-        chunk = params[start:start + _SEARCH_CHUNK]
-        mass = _mixture_mass_batch(chunk, points)
+        rows = slice(start, start + _SEARCH_CHUNK)
+        mass = _mixture_mass_batch(params[rows], points)
         empty = mass.sum(axis=1) <= 0.0
-        total = _summed_eig_batch(mass, lik1)
-        log_z = _log_normalizers(mass, grid_lik1, grid_lik0, beta_a)
-        total = beta_a * total - n_queries * log_z
+        total = beta_a * _summed_eig_batch(mass, lik1) - n_queries * log_z[rows]
         total[empty] = -np.inf
-        out[start:start + _SEARCH_CHUNK] = total
+        out[rows] = total
     return out
 
 
@@ -312,6 +371,7 @@ def mle_objective(queries: Sequence[Query], bp: BeliefParams, qg: QueryGrid,
     """
     if len(queries) == 0:
         raise InvalidInputError("query dataset must be nonempty")
+    _require_rationality(beta_a)
     b = discretize_belief(bp, grid)
     gains = [expected_info_gain(b, q, form) for q in queries]
     if not exact:
@@ -335,38 +395,46 @@ def mle_belief(queries: Sequence[Query], cfg: MleSearchConfig, qg: QueryGrid,
     around the incumbent.  Returns the canonical best candidate; its score is
     at least that of every coarse-grid point.  Ties resolve to the lowest
     enumeration index.
+
+    In exact mode the coarse pass takes its normalizers from
+    :func:`_coarse_log_normalizers`, computed once per process for each
+    coarse grid, theta grid, query grid, reward form and ``beta_a``; only the
+    refinement passes, whose windows follow the data, compute theirs.
     """
     if len(queries) == 0:
         raise InvalidInputError("query dataset must be nonempty")
+    _require_rationality(beta_a)
     points = grid.points
     lik1 = _dataset_likelihoods(queries, points, form)
-    grid_lik1 = likelihood_matrix(points, qg.candidates, form) if exact else None
 
-    # Search coordinates are (mu1, mu2, log s1, log s2, p_z).  Axes take
-    # np.log and bounds math.log: the window edges depend on those exact bits.
-    ranges = [(cfg.mu1, False), (cfg.mu2, False), (cfg.sigma1, True),
-              (cfg.sigma2, True), (cfg.p_z, False)]
-    axes = [np.log(r.values()) if log else r.values() for r, log in ranges]
-    bounds = [(math.log(r.lo), math.log(r.hi)) if log else (r.lo, r.hi) for r, log in ranges]
+    # Axes take np.log and bounds math.log: the window edges depend on those
+    # exact bits.
+    ranges = (cfg.mu1, cfg.mu2, cfg.sigma1, cfg.sigma2, cfg.p_z)
+    axes = _coarse_axes(ranges)
+    bounds = [(math.log(r.lo), math.log(r.hi)) if log else (r.lo, r.hi)
+              for r, log in zip(ranges, _LOG_SCALED)]
     widths = [hi - lo for lo, hi in bounds]
 
     best_params: np.ndarray | None = None
     best_value = -np.inf
-    for _ in range(1 + cfg.n_refine_iters):
-        mesh = np.meshgrid(*axes, indexing="ij")
-        cand = np.stack([m.ravel() for m in mesh], axis=1)
-        # The mass kernel wants (mu1, s1, mu2, s2, p_z) in sigma units.
-        params = np.column_stack([cand[:, 0], np.exp(cand[:, 2]),
-                                  cand[:, 1], np.exp(cand[:, 3]), cand[:, 4]])
+    # Refinement windows follow the data, so only the coarse pass's
+    # normalizers are cached; the refinement passes compute theirs.
+    log_z = _coarse_log_normalizers(ranges, grid, qg, form, float(beta_a)) if exact else None
+    grid_lik1 = None
+    for n_pass in range(1 + cfg.n_refine_iters):
+        if exact and n_pass == 1:
+            log_z = None
+            grid_lik1 = likelihood_matrix(points, qg.candidates, form)
+        cand, params = _search_rows(axes)
         values = _objective_batch(params, lik1, points, exact, beta_a, grid_lik1,
-                                  len(queries))
+                                  len(queries), log_z)
         i = int(np.argmax(values))
         if best_params is None or values[i] > best_value:
             best_value = float(values[i])
             best_params = cand[i].copy()
         widths = [w * cfg.refine_shrink for w in widths]
         axes = [np.linspace(*_clip_window(c, w, *b), r.count) if r.count > 1 else np.array([c])
-                for (r, _), w, b, c in zip(ranges, widths, bounds, best_params)]
+                for r, w, b, c in zip(ranges, widths, bounds, best_params)]
     bp = BeliefParams(best_params[0], math.exp(best_params[2]),
                       best_params[1], math.exp(best_params[3]), best_params[4])
     return canonicalize(bp)
@@ -418,9 +486,16 @@ def teaching_candidates(qg: QueryGrid) -> list[LabeledExample]:
 
 def l3_teaching_utility(tc: LabeledExample, theta_true: float, prior: GridBelief,
                         form: str = ABSOLUTE_DISTANCE) -> float:
-    """Posterior mass the learner would place on the true ideal point's cell."""
+    """Posterior mass the learner would place on the true ideal point's cell.
+
+    An answer of zero likelihood under the prior has utility 0, as in
+    :func:`l3_teaching_utilities`.
+    """
     target = prior.grid.index_of(theta_true)
-    post = posterior_update(prior, tc.query, tc.y, form)
+    try:
+        post = posterior_update(prior, tc.query, tc.y, form)
+    except ImpossibleEvidenceError:
+        return 0.0
     return float(post.mass[target])
 
 

@@ -283,6 +283,13 @@ def eig_map(b: GridBelief, qg: QueryGrid, form: str = ABSOLUTE_DISTANCE) -> np.n
     return out
 
 
+def _require_rationality(beta: float) -> None:
+    """A softmax rationality ``beta`` must be finite and nonnegative."""
+    _require_finite(beta=beta)
+    if beta < 0:
+        raise InvalidInputError(f"rationality must be nonnegative, got {beta}")
+
+
 def softmax_policy(utilities: np.ndarray, beta: float) -> np.ndarray:
     """Boltzmann choice probabilities ``exp(beta * u)``, normalized.
 
@@ -294,9 +301,7 @@ def softmax_policy(utilities: np.ndarray, beta: float) -> np.ndarray:
         raise InvalidInputError("softmax over an empty utility sequence")
     if not np.all(np.isfinite(u)):
         raise InvalidInputError("utilities must be finite")
-    _require_finite(beta=beta)
-    if beta < 0:
-        raise InvalidInputError(f"rationality must be nonnegative, got {beta}")
+    _require_rationality(beta)
     z = beta * u
     z = z - z.max()
     e = np.exp(z)

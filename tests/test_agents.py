@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import querymind
-from querymind import inference
+from querymind import agents, inference
 from querymind.model import (
     REWARD_FORMS,
     BeliefParams,
@@ -303,6 +304,21 @@ class TestMleBelief:
                       for bp in (want, self.SATURATION_TIE)]
             assert abs(scores[0] - scores[1]) <= 4 * np.spacing(scores[0])
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_invalid_rationality_rejected(self, beta, exact):
+        # Checked before the search starts, so it never becomes a cache key.
+        agents._coarse_log_normalizers.cache_clear()
+        queries = [Query(x1, x2) for x1, x2 in self.ABS_QUERIES]
+        error = "beta must be finite|rationality must be nonnegative"
+        with pytest.raises(InvalidInputError, match=error):
+            mle_objective(queries, DOMINANT_LEFT, self.PIN_QG, self.PIN_TG,
+                          exact=exact, beta_a=beta)
+        with pytest.raises(InvalidInputError, match=error):
+            mle_belief(queries, self.PIN_CFG, self.PIN_QG, self.PIN_TG,
+                       exact=exact, beta_a=beta)
+        assert agents._coarse_log_normalizers.cache_info().currsize == 0
+
     def test_p_z_range_outside_unit_interval_rejected(self):
         with pytest.raises(InvalidInputError, match="p_z range"):
             MleSearchConfig(p_z=ParamRange(0.1, 1.5, 3))
@@ -510,6 +526,115 @@ class TestExactNormalizer:
             assert done.stdout == want
 
 
+class TestCoarseNormalizerCache:
+    """Exact mode computes the coarse pass's normalizers once per coarse grid,
+    theta grid, query grid, reward form and rationality."""
+
+    TG = ThetaGrid(-6.0, 6.0, 41)
+    QG = QueryGrid(-6.0, 6.0, 7)
+    CFG = MleSearchConfig(mu1=ParamRange(-6.0, 0.0, 3), mu2=ParamRange(0.0, 6.0, 2),
+                          sigma1=ParamRange(0.3, 1.2, 2), sigma2=ParamRange(0.3, 1.2, 2),
+                          p_z=ParamRange(0.1, 0.9, 2), n_refine_iters=2)
+    ROWS_PER_PASS = 3 * 2 * 2 * 2 * 2
+    DATA_A = [Query(-4.0, 2.0), Query(2.0, -4.0), Query(-6.0, 6.0), Query(0.0, 0.0)]
+    DATA_B = [Query(0.0, 4.0), Query(-2.0, 6.0), Query(4.0, -6.0)]
+
+    @pytest.fixture(autouse=True)
+    def _cold_cache(self):
+        agents._coarse_log_normalizers.cache_clear()
+        yield
+        agents._coarse_log_normalizers.cache_clear()
+
+    def _search(self, queries, form="absolute_distance", beta=50.0, tg=None, qg=None,
+                cfg=None):
+        return mle_belief(queries, cfg or self.CFG, qg or self.QG, tg or self.TG, form,
+                          True, beta)
+
+    def _recorded_search(self, queries, form, monkeypatch):
+        """The estimate and the bytes of every pass's objective values."""
+        passes = []
+        real = agents._objective_batch
+
+        def record(*args, **kwargs):
+            out = real(*args, **kwargs)
+            passes.append(out.tobytes())
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(agents, "_objective_batch", record)
+            est = self._search(queries, form)
+        return est.astuple(), passes
+
+    def _info(self):
+        info = agents._coarse_log_normalizers.cache_info()
+        return info.hits, info.misses
+
+    @pytest.mark.parametrize("form", REWARD_FORMS)
+    def test_warm_search_gives_the_cold_bits(self, form, monkeypatch):
+        cold = self._recorded_search(self.DATA_B, form, monkeypatch)
+        agents._coarse_log_normalizers.cache_clear()
+        self._search(self.DATA_A, form)
+        warm = self._recorded_search(self.DATA_B, form, monkeypatch)
+        assert self._info() == (1, 1)
+        assert warm == cold
+        # Both equal the uncached coarse pass, normalizers and all.
+        points = self.TG.points
+        ranges = (self.CFG.mu1, self.CFG.mu2, self.CFG.sigma1, self.CFG.sigma2, self.CFG.p_z)
+        params = agents._search_rows(agents._coarse_axes(ranges))[1]
+        want = _objective_batch(params, _dataset_likelihoods(self.DATA_B, points, form),
+                                points, True, 50.0,
+                                likelihood_matrix(points, self.QG.candidates, form),
+                                len(self.DATA_B))
+        assert cold[1][0] == want.tobytes()
+
+    def test_second_dataset_normalizes_only_refinement_rows(self, monkeypatch):
+        rows = []
+        real = agents._log_normalizers
+
+        def count(mass, *args):
+            rows.append(mass.shape[0])
+            return real(mass, *args)
+
+        monkeypatch.setattr(agents, "_log_normalizers", count)
+        self._search(self.DATA_A)
+        assert sum(rows) == self.ROWS_PER_PASS * (1 + self.CFG.n_refine_iters)
+        rows.clear()
+        self._search(self.DATA_B)
+        assert sum(rows) == self.ROWS_PER_PASS * self.CFG.n_refine_iters
+
+    @pytest.mark.parametrize("change", [
+        {"form": SQUARED_DISTANCE},
+        {"beta": 20.0},
+        {"tg": ThetaGrid(-6.0, 6.0, 43)},
+        {"qg": QueryGrid(-6.0, 6.0, 5)},
+        {"cfg": replace(CFG, mu1=ParamRange(-5.0, 0.0, 3))},
+        {"cfg": replace(CFG, mu2=ParamRange(0.0, 6.0, 3))},
+        {"cfg": replace(CFG, sigma1=ParamRange(0.4, 1.2, 2))},
+        {"cfg": replace(CFG, sigma2=ParamRange(0.3, 1.5, 2))},
+        {"cfg": replace(CFG, p_z=ParamRange(0.2, 0.9, 2))},
+    ], ids=["form", "beta", "theta-grid", "query-grid", "mu1", "mu2", "sigma1", "sigma2",
+            "p_z"])
+    def test_key_change_misses(self, change):
+        self._search(self.DATA_A)
+        self._search(self.DATA_A, **change)
+        assert self._info() == (0, 2)
+
+    @pytest.mark.parametrize("change", [{"n_refine_iters": 0}, {"n_refine_iters": 1},
+                                        {"refine_shrink": 0.25}])
+    def test_refinement_settings_hit(self, change):
+        self._search(self.DATA_A)
+        self._search(self.DATA_B, cfg=replace(self.CFG, **change))
+        assert self._info() == (1, 1)
+
+    def test_cached_array_is_read_only(self):
+        ranges = (self.CFG.mu1, self.CFG.mu2, self.CFG.sigma1, self.CFG.sigma2, self.CFG.p_z)
+        log_z = agents._coarse_log_normalizers(ranges, self.TG, self.QG,
+                                               "absolute_distance", 50.0)
+        assert log_z.shape == (self.ROWS_PER_PASS,)
+        with pytest.raises(ValueError, match="read-only"):
+            log_z[0] = 0.0
+
+
 class TestTomPosterior:
     def test_single_particle_unchanged(self):
         ens = BeliefEnsemble.single(DOMINANT_LEFT)
@@ -606,6 +731,19 @@ class TestTeaching:
         assert utils[idx + 1] == pytest.approx(
             l3_teaching_utility(LabeledExample(q, 1), 5.0, prior, SQUARED_DISTANCE), abs=1e-12)
         assert l3_answer_policy(5.0, q, [prior], None, 50.0, SQUARED_DISTANCE) == 1.0
+
+    def test_scalar_oracle_agrees_with_the_table_on_impossible_answers(self):
+        prior = discretize_belief(BeliefParams(5.0, 0.01, 5.0, 0.01, 0.5), TG)
+        q = Query(-6.0, -4.0)
+        table = l3_teaching_utilities(5.0, [prior], None, QG, SQUARED_DISTANCE)
+        oracle = l3_teaching_utility(LabeledExample(q, 0), 5.0, prior, SQUARED_DISTANCE)
+        assert oracle == table[2 * QG.index_of(q)] == 0.0
+        qg = QueryGrid(-6.0, 6.0, 13)
+        table = l3_teaching_utilities(5.0, [prior], None, qg, SQUARED_DISTANCE)
+        oracle = [l3_teaching_utility(tc, 5.0, prior, SQUARED_DISTANCE)
+                  for tc in teaching_candidates(qg)]
+        np.testing.assert_allclose(oracle, table, rtol=0.0, atol=1e-12)
+        assert np.count_nonzero(table == 0.0) > 0
 
     @pytest.mark.xfail(
         strict=True,
