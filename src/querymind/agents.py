@@ -264,24 +264,6 @@ def _separable_summed_eig(params: np.ndarray, lik1: np.ndarray,
     return out
 
 
-def _exact_log_normalizers(params: np.ndarray, points: np.ndarray, grid_lik1: np.ndarray,
-                           beta_a: float) -> np.ndarray:
-    """(B,) softmax query-policy normalizers ``log sum_c exp(beta_a * EIG_c)``
-    of the mixture mass of each (mu1, s1, mu2, s2, p_z) row, chunk by chunk.
-
-    :func:`querymind.inference._log_normalizers` shares one (C, K)
-    ``1 - grid_lik1`` across all rows and holds one (C, K) buffer per worker
-    thread on top of the chunk's temporaries.
-    """
-    grid_lik0 = 1.0 - grid_lik1
-    out = np.empty(params.shape[0])
-    for start in range(0, params.shape[0], _SEARCH_CHUNK):
-        rows = slice(start, start + _SEARCH_CHUNK)
-        out[rows] = _log_normalizers(_mixture_mass_batch(params[rows], points),
-                                     grid_lik1, grid_lik0, beta_a)
-    return out
-
-
 def _search_rows(axes: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """The grid over five search axes, enumerated row-major: its (B, 5) search
     coordinates and the (B, 5) (mu1, s1, mu2, s2, p_z) rows, in sigma units,
@@ -307,11 +289,20 @@ def _coarse_log_normalizers(ranges: tuple[ParamRange, ...], grid: ThetaGrid, qg:
     follow :func:`mle_belief`'s coarse pass.  A normalizer depends on the
     candidate belief, the grids, the reward form and ``beta_a``, never on the
     observed queries, so every dataset searched on one coarse grid shares
-    this array.  Built lazily, once per key, by :func:`_exact_log_normalizers`.
+    this array.  Built lazily, once per key, through the same mass and
+    normalizer kernels as :func:`_objective_batch`; the search that fills it
+    computes its coarse mixture mass and ``L`` once more than an uncached
+    search would.
     """
     points = grid.points
-    log_z = _exact_log_normalizers(_search_rows(_coarse_axes(ranges))[1], points,
-                                   likelihood_matrix(points, qg.candidates, form), beta_a)
+    params = _search_rows(_coarse_axes(ranges))[1]
+    grid_lik1 = likelihood_matrix(points, qg.candidates, form)
+    grid_lik0 = 1.0 - grid_lik1
+    log_z = np.empty(params.shape[0])
+    for start in range(0, params.shape[0], _SEARCH_CHUNK):
+        rows = slice(start, start + _SEARCH_CHUNK)
+        log_z[rows] = _log_normalizers(_mixture_mass_batch(params[rows], points),
+                                       grid_lik1, grid_lik0, beta_a)
     log_z.flags.writeable = False
     return log_z
 
@@ -329,9 +320,11 @@ def _objective_batch(params: np.ndarray, lik1: np.ndarray, points: np.ndarray,
     where every one of the ``n_queries`` dataset queries contributes a
     normalizer term; it runs on the mixture mass, floored as a whole.  The
     (B,) normalizers are ``log_z`` when given (the cached coarse pass of
-    :func:`_coarse_log_normalizers`), and otherwise computed from
-    ``grid_lik1``, the (C, K) likelihood matrix of the full candidate grid,
-    by :func:`_exact_log_normalizers`.
+    :func:`_coarse_log_normalizers`).  Otherwise each chunk's mass also goes
+    through :func:`querymind.inference._log_normalizers` with ``grid_lik1``,
+    the (C, K) likelihood matrix of the full candidate grid, which shares one
+    (C, K) ``1 - grid_lik1`` across all rows and holds one (C, K) buffer per
+    worker thread on top of the chunk's temporaries.
     In both modes a row with no representable grid mass scores -inf.
     """
     if not exact:
@@ -339,13 +332,16 @@ def _objective_batch(params: np.ndarray, lik1: np.ndarray, points: np.ndarray,
     if log_z is None:
         if grid_lik1 is None:
             raise InvalidInputError("exact mode needs the candidate-grid likelihoods")
-        log_z = _exact_log_normalizers(params, points, grid_lik1, beta_a)
+        grid_lik0 = 1.0 - grid_lik1
     out = np.empty(params.shape[0])
     for start in range(0, params.shape[0], _SEARCH_CHUNK):
         rows = slice(start, start + _SEARCH_CHUNK)
         mass = _mixture_mass_batch(params[rows], points)
         empty = mass.sum(axis=1) <= 0.0
-        total = beta_a * _summed_eig_batch(mass, lik1) - n_queries * log_z[rows]
+        total = _summed_eig_batch(mass, lik1)
+        z = (log_z[rows] if log_z is not None
+             else _log_normalizers(mass, grid_lik1, grid_lik0, beta_a))
+        total = beta_a * total - n_queries * z
         total[empty] = -np.inf
         out[rows] = total
     return out
@@ -417,12 +413,14 @@ def mle_belief(queries: Sequence[Query], cfg: MleSearchConfig, qg: QueryGrid,
 
     best_params: np.ndarray | None = None
     best_value = -np.inf
-    # Refinement windows follow the data, so only the coarse pass's
-    # normalizers are cached; the refinement passes compute theirs.
-    log_z = _coarse_log_normalizers(ranges, grid, qg, form, float(beta_a)) if exact else None
-    grid_lik1 = None
+    log_z = grid_lik1 = None
     for n_pass in range(1 + cfg.n_refine_iters):
-        if exact and n_pass == 1:
+        # Refinement windows follow the data, so only the coarse pass's
+        # normalizers are cached.  ``L`` is built only for a pass that
+        # computes normalizers, so it never coexists with the cache fill's.
+        if exact and n_pass == 0:
+            log_z = _coarse_log_normalizers(ranges, grid, qg, form, float(beta_a))
+        elif exact and grid_lik1 is None:
             log_z = None
             grid_lik1 = likelihood_matrix(points, qg.candidates, form)
         cand, params = _search_rows(axes)

@@ -100,8 +100,10 @@ def _build_parser() -> _Parser:
     _add_common(p, exact=False)
     p.set_defaults(func=_cmd_eig_map)
 
-    p = sub.add_parser("estimate-belief", help="maximum-likelihood belief from a query CSV")
-    p.add_argument("--queries", required=True, metavar="CSV", help="file with x1,x2 rows")
+    p = sub.add_parser("estimate-belief",
+                       help="maximum-likelihood belief from each of one or more query CSVs")
+    p.add_argument("--queries", required=True, nargs="+", metavar="CSV",
+                   help="files with x1,x2 rows; one estimate line per file, in order")
     _add_common(p, out=False)
     p.set_defaults(func=_cmd_estimate)
 
@@ -233,10 +235,12 @@ def _cmd_eig_map(args) -> int:
 
 def _cmd_estimate(args) -> int:
     cfg = _resolve_config(args)
-    queries = read_queries_csv(args.queries)
-    est = mle_belief(queries, cfg.mle, cfg.query_grid, cfg.theta_grid,
-                     cfg.reward_form, cfg.exact_likelihood, cfg.beta_a)
-    print(" ".join(fmt_real(v) for v in est.astuple()))
+    # Every file is read before the first search, so a bad one fails fast.
+    datasets = [read_queries_csv(path) for path in args.queries]
+    for queries in datasets:
+        est = mle_belief(queries, cfg.mle, cfg.query_grid, cfg.theta_grid,
+                         cfg.reward_form, cfg.exact_likelihood, cfg.beta_a)
+        print(" ".join(fmt_real(v) for v in est.astuple()))
     return 0
 
 

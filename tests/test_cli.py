@@ -4,6 +4,7 @@ import pytest
 from querymind.cli import INTENT_FIXTURE, main
 from querymind.model import Query, ThetaGrid
 from querymind.inference import QueryGrid
+from querymind import agents
 from querymind.agents import BeliefEnsemble, bayes_factor
 from querymind.reporting import fmt_real
 
@@ -132,6 +133,39 @@ class TestEstimateAndIntent:
         assert mu1 <= mu2
         assert sigma1 > 0 and sigma2 > 0
         assert 0.0 <= p_z <= 1.0
+
+    def test_estimate_belief_sweeps_files_in_order(self, tmp_path, fast_config, capsys):
+        # One process searches every file on one grid, so in exact mode the
+        # files after the first reuse the coarse normalizers, bit for bit.
+        a = tmp_path / "a.csv"
+        a.write_text("x1,x2\n-5.5,6\n-4,2\n")
+        b = tmp_path / "b.csv"
+        b.write_text("x1,x2\n2,-4\n0,4\n-6,6\n")
+        args = ["estimate-belief", "--exact-likelihood", "--config", fast_config, "--queries"]
+        alone = {}
+        for path in (b, a):
+            agents._coarse_log_normalizers.cache_clear()
+            assert main(args + [str(path)]) == 0
+            alone[path] = capsys.readouterr().out
+        agents._coarse_log_normalizers.cache_clear()
+        assert main(args + [str(a), str(b)]) == 0
+        assert capsys.readouterr().out == alone[a] + alone[b]
+        info = agents._coarse_log_normalizers.cache_info()
+        agents._coarse_log_normalizers.cache_clear()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_estimate_belief_reads_every_file_before_searching(self, tmp_path, fast_config,
+                                                               capsys):
+        good = tmp_path / "good.csv"
+        good.write_text("x1,x2\n-5.5,6\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x1,x2\n-4\n")
+        code = main(["estimate-belief", "--queries", str(good), str(bad),
+                     "--config", fast_config])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{bad}:2: expected 2 columns, got 1" in err
 
     def test_intent_bf_matches_library(self, capsys):
         code = main(["intent-bf", "--query=-3,1"])
