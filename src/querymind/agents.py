@@ -21,12 +21,14 @@ from scipy.special import logsumexp, xlogy
 from .model import (
     ABSOLUTE_DISTANCE,
     DENSITY_FLOOR,
+    MIN_SIGMA,
     BeliefParams,
     GridBelief,
     InvalidInputError,
     LabeledExample,
     Query,
     ThetaGrid,
+    _normal_density,
     _require_finite,
     _require_probabilities,
     canonicalize,
@@ -50,11 +52,12 @@ from .inference import (
 
 # Batch size for vectorized search over candidate mixtures; bounds peak
 # memory at roughly batch * n_grid_points * 8 bytes per temporary in exact
-# mode and batch * n_queries * 8 bytes in the summed kernel.  While exact mode
-# computes normalizers it also holds the (C, K) candidate-grid likelihoods
-# ``L``, their shared complement ``1 - L`` and one (C, K) buffer per
-# normalizer worker; a search whose coarse normalizers are cached builds
-# these only for its refinement passes.
+# mode and batch * n_queries * 8 bytes in the summed kernel.  While
+# :func:`_exact_log_normalizers` runs it also holds the (C, K) candidate-grid
+# likelihoods ``L``, their shared complement ``1 - L`` and one (C, K) buffer
+# per normalizer worker, all freed before the pass scores its data term; a
+# search whose coarse normalizers are cached builds them only for its
+# refinement passes.
 _SEARCH_CHUNK = 1024
 
 # Search coordinates are (mu1, mu2, log s1, log s2, p_z): the sigma axes of
@@ -129,8 +132,8 @@ class MleSearchConfig:
             raise InvalidInputError("n_refine_iters must be >= 0")
         if not 0.0 < self.refine_shrink < 1.0:
             raise InvalidInputError("refine_shrink must be in (0, 1)")
-        if self.sigma1.lo <= 0 or self.sigma2.lo <= 0:
-            raise InvalidInputError("sigma ranges must be positive")
+        if self.sigma1.lo < MIN_SIGMA or self.sigma2.lo < MIN_SIGMA:
+            raise InvalidInputError(f"sigma ranges must start at >= {MIN_SIGMA!r}")
         if not 0.0 <= self.p_z.lo <= self.p_z.hi <= 1.0:
             raise InvalidInputError("p_z range must lie in [0, 1]")
 
@@ -164,7 +167,9 @@ def _mixture_mass_batch(params: np.ndarray, points: np.ndarray) -> np.ndarray:
 
     Exact mode only, like :func:`_summed_eig_batch`: its bits decide the
     rounding ties pinned by the benchmark reference, so it stays frozen until
-    that reference is regenerated.  The floor applies to the mixture.
+    that reference is regenerated.  The floor applies to the mixture.  An
+    overflowing squared z-score gives its limit, 0, as in
+    :func:`querymind.model._normal_density`.
     """
     mu1 = params[:, 0][:, None]
     s1 = params[:, 1][:, None]
@@ -173,10 +178,11 @@ def _mixture_mass_batch(params: np.ndarray, points: np.ndarray) -> np.ndarray:
     pz = params[:, 4][:, None]
     th = points[None, :]
     inv_sqrt_2pi = 1.0 / math.sqrt(2.0 * math.pi)
-    z1 = (th - mu1) / s1
-    z2 = (th - mu2) / s2
-    dens = pz * (inv_sqrt_2pi / s1) * np.exp(-0.5 * z1 * z1) \
-        + (1.0 - pz) * (inv_sqrt_2pi / s2) * np.exp(-0.5 * z2 * z2)
+    with np.errstate(over="ignore"):
+        z1 = (th - mu1) / s1
+        z2 = (th - mu2) / s2
+        dens = pz * (inv_sqrt_2pi / s1) * np.exp(-0.5 * z1 * z1) \
+            + (1.0 - pz) * (inv_sqrt_2pi / s2) * np.exp(-0.5 * z2 * z2)
     dens = np.where(dens < DENSITY_FLOOR, 0.0, dens)
     total = np.sum(dens, axis=1)
     bad = total <= 0.0
@@ -240,8 +246,7 @@ def _separable_summed_eig(params: np.ndarray, lik1: np.ndarray,
     keys, comp = np.unique(mu_idx * s_vals.size + s_idx, return_inverse=True)
     mu = mu_vals[keys // s_vals.size][:, None]
     sigma = s_vals[keys % s_vals.size][:, None]
-    z = (points[None, :] - mu) / sigma
-    phi = (1.0 / math.sqrt(2.0 * math.pi) / sigma) * np.exp(-0.5 * z * z)
+    phi = _normal_density(points[None, :], mu, sigma)
     phi = np.where(phi < DENSITY_FLOOR, 0.0, phi)
     s = np.einsum("uk->u", phi)
     a = np.einsum("uk,nk->un", phi, lik1)
@@ -280,22 +285,17 @@ def _coarse_axes(ranges: Sequence[ParamRange]) -> list[np.ndarray]:
     return [np.log(r.values()) if log else r.values() for r, log in zip(ranges, _LOG_SCALED)]
 
 
-@functools.lru_cache(maxsize=8)
-def _coarse_log_normalizers(ranges: tuple[ParamRange, ...], grid: ThetaGrid, qg: QueryGrid,
-                            form: str, beta_a: float) -> np.ndarray:
-    """Read-only exact-mode normalizers of every row of a coarse search grid.
+def _exact_log_normalizers(params: np.ndarray, grid: ThetaGrid, qg: QueryGrid, form: str,
+                           beta_a: float) -> np.ndarray:
+    """Exact-mode (B,) normalizers ``log sum_c exp(beta_a * EIG_c(m))`` of the
+    (mu1, s1, mu2, s2, p_z) rows over the candidate grid of ``qg``.
 
-    ``ranges`` are the (mu1, mu2, sigma1, sigma2, p_z) search ranges; rows
-    follow :func:`mle_belief`'s coarse pass.  A normalizer depends on the
-    candidate belief, the grids, the reward form and ``beta_a``, never on the
-    observed queries, so every dataset searched on one coarse grid shares
-    this array.  Built lazily, once per key, through the same mass and
-    normalizer kernels as :func:`_objective_batch`; the search that fills it
-    computes its coarse mixture mass and ``L`` once more than an uncached
-    search would.
+    The one normalizer loop: each chunk's mixture mass goes through
+    :func:`querymind.inference._log_normalizers` with the (C, K) likelihood
+    matrix ``L`` of the candidate grid and one shared (C, K) ``1 - L``, which
+    are freed when it returns.
     """
     points = grid.points
-    params = _search_rows(_coarse_axes(ranges))[1]
     grid_lik1 = likelihood_matrix(points, qg.candidates, form)
     grid_lik0 = 1.0 - grid_lik1
     log_z = np.empty(params.shape[0])
@@ -303,46 +303,49 @@ def _coarse_log_normalizers(ranges: tuple[ParamRange, ...], grid: ThetaGrid, qg:
         rows = slice(start, start + _SEARCH_CHUNK)
         log_z[rows] = _log_normalizers(_mixture_mass_batch(params[rows], points),
                                        grid_lik1, grid_lik0, beta_a)
+    return log_z
+
+
+@functools.lru_cache(maxsize=8)
+def _coarse_log_normalizers(ranges: tuple[ParamRange, ...], grid: ThetaGrid, qg: QueryGrid,
+                            form: str, beta_a: float) -> np.ndarray:
+    """Read-only :func:`_exact_log_normalizers` of every row of a coarse search grid.
+
+    ``ranges`` are the (mu1, mu2, sigma1, sigma2, p_z) search ranges; rows
+    follow :func:`mle_belief`'s coarse pass.  A normalizer depends on the
+    candidate belief, the grids, the reward form and ``beta_a``, never on the
+    observed queries, so every dataset searched on one coarse grid shares
+    this array.  Built lazily, once per key.
+    """
+    log_z = _exact_log_normalizers(_search_rows(_coarse_axes(ranges))[1], grid, qg, form,
+                                   beta_a)
     log_z.flags.writeable = False
     return log_z
 
 
 def _objective_batch(params: np.ndarray, lik1: np.ndarray, points: np.ndarray,
-                     exact: bool, beta_a: float, grid_lik1: np.ndarray | None,
-                     n_queries: int, log_z: np.ndarray | None = None) -> np.ndarray:
+                     exact: bool, beta_a: float, log_z: np.ndarray | None,
+                     n_queries: int) -> np.ndarray:
     """Summed EIG of the dataset queries for each (mu1, s1, mu2, s2, p_z) row.
 
     ``lik1`` is (N, K) over the non-diagonal dataset queries (diagonals add
     zero gain).  The summed score uses the separable dual form
     (:func:`_separable_summed_eig`), where each component density is floored
-    at ``DENSITY_FLOOR`` on its own before it is mixed.  In exact mode the
-    result is the normalized log-likelihood under the softmax query policy,
-    where every one of the ``n_queries`` dataset queries contributes a
-    normalizer term; it runs on the mixture mass, floored as a whole.  The
-    (B,) normalizers are ``log_z`` when given (the cached coarse pass of
-    :func:`_coarse_log_normalizers`).  Otherwise each chunk's mass also goes
-    through :func:`querymind.inference._log_normalizers` with ``grid_lik1``,
-    the (C, K) likelihood matrix of the full candidate grid, which shares one
-    (C, K) ``1 - grid_lik1`` across all rows and holds one (C, K) buffer per
-    worker thread on top of the chunk's temporaries.
+    at ``DENSITY_FLOOR`` on its own before it is mixed; it ignores ``log_z``.
+    In exact mode the result is the normalized log-likelihood under the
+    softmax query policy: the data term ``beta_a * sum_i EIG(q_i)`` on the
+    mixture mass, floored as a whole, minus ``n_queries`` times the rows'
+    (B,) normalizers ``log_z`` (:func:`_exact_log_normalizers`).
     In both modes a row with no representable grid mass scores -inf.
     """
     if not exact:
         return _separable_summed_eig(params, lik1, points)
-    if log_z is None:
-        if grid_lik1 is None:
-            raise InvalidInputError("exact mode needs the candidate-grid likelihoods")
-        grid_lik0 = 1.0 - grid_lik1
     out = np.empty(params.shape[0])
     for start in range(0, params.shape[0], _SEARCH_CHUNK):
         rows = slice(start, start + _SEARCH_CHUNK)
         mass = _mixture_mass_batch(params[rows], points)
-        empty = mass.sum(axis=1) <= 0.0
-        total = _summed_eig_batch(mass, lik1)
-        z = (log_z[rows] if log_z is not None
-             else _log_normalizers(mass, grid_lik1, grid_lik0, beta_a))
-        total = beta_a * total - n_queries * z
-        total[empty] = -np.inf
+        total = beta_a * _summed_eig_batch(mass, lik1) - n_queries * log_z[rows]
+        total[mass.sum(axis=1) <= 0.0] = -np.inf
         out[rows] = total
     return out
 
@@ -394,8 +397,9 @@ def mle_belief(queries: Sequence[Query], cfg: MleSearchConfig, qg: QueryGrid,
 
     In exact mode the coarse pass takes its normalizers from
     :func:`_coarse_log_normalizers`, computed once per process for each
-    coarse grid, theta grid, query grid, reward form and ``beta_a``; only the
-    refinement passes, whose windows follow the data, compute theirs.
+    coarse grid, theta grid, query grid, reward form and ``beta_a``; each
+    refinement pass, whose window follows the data, computes its own with
+    :func:`_exact_log_normalizers`.
     """
     if len(queries) == 0:
         raise InvalidInputError("query dataset must be nonempty")
@@ -413,19 +417,16 @@ def mle_belief(queries: Sequence[Query], cfg: MleSearchConfig, qg: QueryGrid,
 
     best_params: np.ndarray | None = None
     best_value = -np.inf
-    log_z = grid_lik1 = None
     for n_pass in range(1 + cfg.n_refine_iters):
+        cand, params = _search_rows(axes)
         # Refinement windows follow the data, so only the coarse pass's
-        # normalizers are cached.  ``L`` is built only for a pass that
-        # computes normalizers, so it never coexists with the cache fill's.
+        # normalizers are cached.
+        log_z = None
         if exact and n_pass == 0:
             log_z = _coarse_log_normalizers(ranges, grid, qg, form, float(beta_a))
-        elif exact and grid_lik1 is None:
-            log_z = None
-            grid_lik1 = likelihood_matrix(points, qg.candidates, form)
-        cand, params = _search_rows(axes)
-        values = _objective_batch(params, lik1, points, exact, beta_a, grid_lik1,
-                                  len(queries), log_z)
+        elif exact:
+            log_z = _exact_log_normalizers(params, grid, qg, form, beta_a)
+        values = _objective_batch(params, lik1, points, exact, beta_a, log_z, len(queries))
         i = int(np.argmax(values))
         if best_params is None or values[i] > best_value:
             best_value = float(values[i])

@@ -260,9 +260,10 @@ def _cmd_intent_bf(args) -> int:
     cfg = _resolve_config(args)
     try:
         x1_text, x2_text = args.query.split(",")
-        q = Query(float(x1_text), float(x2_text))
+        x1, x2 = float(x1_text), float(x2_text)
     except ValueError as exc:
         raise ConfigError(f"--query expects 'x1,x2', got {args.query!r}") from exc
+    q = Query(x1, x2)
     ensemble = BeliefEnsemble(INTENT_FIXTURE, np.array([0.5, 0.5]))
     bf = bayes_factor(q, ensemble, cfg.beta_a, args.lam, cfg.query_grid,
                       cfg.theta_grid, cfg.reward_form)

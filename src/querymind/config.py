@@ -13,7 +13,7 @@ from dataclasses import replace
 from functools import reduce
 from typing import Callable
 
-from .model import REWARD_FORMS
+from .model import MIN_SIGMA, REWARD_FORMS
 from .experiments import ConfigError, ScenarioConfig
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
@@ -36,7 +36,7 @@ def _parse_bool(raw: str) -> bool:
 
 # (check, description) pairs shared by several keys; None means unchecked.
 _ANY = (None, "")
-_POSITIVE = (lambda v: v > 0, "must be > 0")
+_SIGMA = (lambda v: v >= MIN_SIGMA, f"must be >= {MIN_SIGMA!r}")
 _AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
 _NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _UNIT_INTERVAL = (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
@@ -46,9 +46,9 @@ _UNIT_INTERVAL = (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
 # from ScenarioConfig itself via config_values().
 _KEYS: dict[str, tuple[tuple[str, ...], Callable, Callable | None, str]] = {
     "prior.mu1": (("prior", "mu1"), _finite_float, *_ANY),
-    "prior.sigma1": (("prior", "sigma1"), _finite_float, *_POSITIVE),
+    "prior.sigma1": (("prior", "sigma1"), _finite_float, *_SIGMA),
     "prior.mu2": (("prior", "mu2"), _finite_float, *_ANY),
-    "prior.sigma2": (("prior", "sigma2"), _finite_float, *_POSITIVE),
+    "prior.sigma2": (("prior", "sigma2"), _finite_float, *_SIGMA),
     "prior.p_z": (("prior", "p_z"), _finite_float, *_UNIT_INTERVAL),
     "run.theta_true": (("theta_true",), _finite_float, *_ANY),
     "run.n_queries": (("n_queries",), int, *_AT_LEAST_1),
@@ -72,11 +72,11 @@ _KEYS: dict[str, tuple[tuple[str, ...], Callable, Callable | None, str]] = {
     "mle.mu2_lo": (("mle", "mu2", "lo"), _finite_float, *_ANY),
     "mle.mu2_hi": (("mle", "mu2", "hi"), _finite_float, *_ANY),
     "mle.mu2_count": (("mle", "mu2", "count"), int, *_AT_LEAST_1),
-    "mle.sigma1_lo": (("mle", "sigma1", "lo"), _finite_float, *_POSITIVE),
-    "mle.sigma1_hi": (("mle", "sigma1", "hi"), _finite_float, *_POSITIVE),
+    "mle.sigma1_lo": (("mle", "sigma1", "lo"), _finite_float, *_SIGMA),
+    "mle.sigma1_hi": (("mle", "sigma1", "hi"), _finite_float, *_SIGMA),
     "mle.sigma1_count": (("mle", "sigma1", "count"), int, *_AT_LEAST_1),
-    "mle.sigma2_lo": (("mle", "sigma2", "lo"), _finite_float, *_POSITIVE),
-    "mle.sigma2_hi": (("mle", "sigma2", "hi"), _finite_float, *_POSITIVE),
+    "mle.sigma2_lo": (("mle", "sigma2", "lo"), _finite_float, *_SIGMA),
+    "mle.sigma2_hi": (("mle", "sigma2", "hi"), _finite_float, *_SIGMA),
     "mle.sigma2_count": (("mle", "sigma2", "count"), int, *_AT_LEAST_1),
     "mle.p_z_lo": (("mle", "p_z", "lo"), _finite_float, *_UNIT_INTERVAL),
     "mle.p_z_hi": (("mle", "p_z", "hi"), _finite_float, *_UNIT_INTERVAL),

@@ -204,6 +204,11 @@ def _identifiability(cfg: ScenarioConfig, kind: str) -> RunReport:
     report.eig_true = eig_map(report.belief_true, cfg.query_grid, cfg.reward_form)
     report.eig_estimated = eig_map(report.belief_estimated, cfg.query_grid, cfg.reward_form)
     mask = _nondiagonal_mask(cfg.query_grid)
+    for name, values in (("true", report.eig_true[mask]),
+                         ("estimated", report.eig_estimated[mask])):
+        if values.min() == values.max():
+            raise ConfigError(f"the {name} gain map is constant over the non-diagonal "
+                              f"candidates, so its correlation is undefined")
     report.correlation = float(np.corrcoef(report.eig_true[mask],
                                            report.eig_estimated[mask])[0, 1])
     report.mode_locations = (report.estimated.mu1, report.estimated.mu2)

@@ -9,6 +9,7 @@ the second item is ``sigmoid(r(x2) - r(x1))``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,10 @@ REWARD_FORMS = (ABSOLUTE_DISTANCE, SQUARED_DISTANCE)
 DENSITY_FLOOR = 1e-300
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# Smallest standard deviation accepted anywhere: below the smallest normal
+# float, ``1 / (sigma * sqrt(2 pi))`` can overflow to inf.
+MIN_SIGMA = sys.float_info.min
 
 
 class InvalidInputError(ValueError):
@@ -135,9 +140,9 @@ class BeliefParams:
     def __post_init__(self) -> None:
         _require_finite(mu1=self.mu1, sigma1=self.sigma1, mu2=self.mu2,
                         sigma2=self.sigma2, p_z=self.p_z)
-        if self.sigma1 <= 0 or self.sigma2 <= 0:
+        if self.sigma1 < MIN_SIGMA or self.sigma2 < MIN_SIGMA:
             raise InvalidInputError(
-                f"standard deviations must be positive, got {self.sigma1}, {self.sigma2}")
+                f"standard deviations must be >= {MIN_SIGMA!r}, got {self.sigma1}, {self.sigma2}")
         if not 0.0 <= self.p_z <= 1.0:
             raise InvalidInputError(f"p_z must be in [0, 1], got {self.p_z}")
 
@@ -187,13 +192,22 @@ def sample_answer(theta: float, q: Query, form: str, rng: np.random.Generator) -
     return 1 if rng.random() < response_prob(theta, q, form) else 0
 
 
+def _normal_density(theta, mu, sigma):
+    """Normal density ``N(mu, sigma)`` at ``theta``, broadcasting.
+
+    A tail whose squared z-score overflows has its limit, 0, without a
+    warning; ``sigma >= MIN_SIGMA`` keeps the peak finite.
+    """
+    with np.errstate(over="ignore"):
+        z = (theta - mu) / sigma
+        return _INV_SQRT_2PI / sigma * np.exp(-0.5 * z * z)
+
+
 def mixture_density(bp: BeliefParams, theta):
     """Mixture density at ``theta`` (scalar or array)."""
     th = np.asarray(theta, dtype=np.float64)
-    z1 = (th - bp.mu1) / bp.sigma1
-    z2 = (th - bp.mu2) / bp.sigma2
-    d1 = _INV_SQRT_2PI / bp.sigma1 * np.exp(-0.5 * z1 * z1)
-    d2 = _INV_SQRT_2PI / bp.sigma2 * np.exp(-0.5 * z2 * z2)
+    d1 = _normal_density(th, bp.mu1, bp.sigma1)
+    d2 = _normal_density(th, bp.mu2, bp.sigma2)
     out = bp.p_z * d1 + (1.0 - bp.p_z) * d2
     if np.ndim(theta) == 0:
         return float(out)

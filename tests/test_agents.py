@@ -11,6 +11,7 @@ import pytest
 import querymind
 from querymind import agents, inference
 from querymind.model import (
+    MIN_SIGMA,
     REWARD_FORMS,
     BeliefParams,
     GridBelief,
@@ -27,7 +28,6 @@ from querymind.inference import (
     QueryGrid,
     eig_map,
     expected_info_gain,
-    likelihood_matrix,
 )
 from querymind.agents import (
     BeliefEnsemble,
@@ -35,6 +35,7 @@ from querymind.agents import (
     ParamRange,
     _SEARCH_CHUNK,
     _dataset_likelihoods,
+    _exact_log_normalizers,
     _l2_policy_matrix,
     _objective_batch,
     _observer_posteriors,
@@ -261,10 +262,10 @@ class TestMleBelief:
         values = _objective_batch(params, lik1, points, False, 50.0, None, len(queries))
         assert np.all(np.isfinite(values))
         cand = BeliefParams(-6.0, 0.01, 0.0, 0.01, 0.7)
-        grid_lik1 = likelihood_matrix(points, QG.candidates, SQUARED_DISTANCE)
+        row = np.array([cand.astuple()])
+        log_z = _exact_log_normalizers(row, TG, QG, SQUARED_DISTANCE, 50.0)
         for exact in (False, True):
-            got = _objective_batch(np.array([cand.astuple()]), lik1, points, exact, 50.0,
-                                   grid_lik1, len(queries))[0]
+            got = _objective_batch(row, lik1, points, exact, 50.0, log_z, len(queries))[0]
             want = mle_objective(queries, cand, QG, TG, SQUARED_DISTANCE, exact, 50.0)
             assert got == pytest.approx(want, abs=1e-9)
 
@@ -325,6 +326,25 @@ class TestMleBelief:
         with pytest.raises(InvalidInputError, match="p_z range"):
             MleSearchConfig(p_z=ParamRange(-0.1, 0.9, 3))
         MleSearchConfig(p_z=ParamRange(0.0, 1.0, 3))
+
+    def test_sigma_range_below_smallest_normal_rejected(self):
+        for field in ("sigma1", "sigma2"):
+            with pytest.raises(InvalidInputError, match="sigma ranges must start at >= "):
+                MleSearchConfig(**{field: ParamRange(1e-320, 2.0, 4)})
+        MleSearchConfig(sigma1=ParamRange(MIN_SIGMA, 2.0, 4))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_tiny_sigma_rows_score_finite_without_warning(self, exact):
+        # A squared z-score that overflows must give the tail's limit, 0, not
+        # a RuntimeWarning (an error under pytest) or a NaN that argmax picks.
+        tg, qg = ThetaGrid(-6.0, 6.0, 41), QueryGrid(-6.0, 6.0, 7)
+        a, b = tg.points[10], tg.points[30]
+        rows = np.array([[a, 1e-200, b, 1.0, 0.9], [a, MIN_SIGMA, b, MIN_SIGMA, 0.5]])
+        queries = [Query(-4.0, 2.0), Query(2.0, -4.0)]
+        lik1 = _dataset_likelihoods(queries, tg.points, "absolute_distance")
+        log_z = _exact_log_normalizers(rows, tg, qg, "absolute_distance", 50.0)
+        got = _objective_batch(rows, lik1, tg.points, exact, 50.0, log_z, len(queries))
+        assert np.all(np.isfinite(got))
 
     def test_output_is_canonical(self):
         rng = np.random.default_rng(4)
@@ -462,17 +482,18 @@ class TestExactNormalizer:
     UNREPRESENTABLE = (200.0, 0.25, 300.0, 0.25, 0.5)
     CODE = (
         "import hashlib, sys, numpy as np, querymind as qm\n"
-        "from querymind.agents import _dataset_likelihoods, _objective_batch\n"
+        "from querymind.agents import _dataset_likelihoods, _exact_log_normalizers, "
+        "_objective_batch\n"
         "from querymind.experiments import bimodal_config, sample_queries\n"
-        "from querymind.inference import likelihood_matrix\n"
         "cfg = bimodal_config(0)\n"
         "qs = sample_queries(cfg, qm.discretize_belief(cfg.prior, cfg.theta_grid))\n"
         "rows = np.frombuffer(bytes.fromhex(sys.stdin.read())).reshape(-1, 5)\n"
         "points = cfg.theta_grid.points\n"
         "for form in qm.REWARD_FORMS:\n"
-        "    grid_lik1 = likelihood_matrix(points, cfg.query_grid.candidates, form)\n"
+        "    log_z = _exact_log_normalizers(rows, cfg.theta_grid, cfg.query_grid, form,\n"
+        "                                   cfg.beta_a)\n"
         "    got = _objective_batch(rows, _dataset_likelihoods(qs, points, form), points,\n"
-        "                           True, cfg.beta_a, grid_lik1, len(qs))\n"
+        "                           True, cfg.beta_a, log_z, len(qs))\n"
         "    print(form, hashlib.sha256(got.tobytes()).hexdigest())\n"
     )
 
@@ -486,9 +507,10 @@ class TestExactNormalizer:
         cfg = bimodal_config(0)
         queries = sample_queries(cfg, discretize_belief(cfg.prior, cfg.theta_grid))
         points = cfg.theta_grid.points
-        grid_lik1 = likelihood_matrix(points, cfg.query_grid.candidates, form)
-        return _objective_batch(self._rows(), _dataset_likelihoods(queries, points, form),
-                                points, True, cfg.beta_a, grid_lik1, len(queries))
+        rows = self._rows()
+        log_z = _exact_log_normalizers(rows, cfg.theta_grid, cfg.query_grid, form, cfg.beta_a)
+        return _objective_batch(rows, _dataset_likelihoods(queries, points, form),
+                                points, True, cfg.beta_a, log_z, len(queries))
 
     @pytest.mark.parametrize("form", REWARD_FORMS)
     def test_bytes_are_pinned(self, form):
@@ -583,7 +605,7 @@ class TestCoarseNormalizerCache:
         params = agents._search_rows(agents._coarse_axes(ranges))[1]
         want = _objective_batch(params, _dataset_likelihoods(self.DATA_B, points, form),
                                 points, True, 50.0,
-                                likelihood_matrix(points, self.QG.candidates, form),
+                                _exact_log_normalizers(params, self.TG, self.QG, form, 50.0),
                                 len(self.DATA_B))
         assert cold[1][0] == want.tobytes()
 

@@ -87,6 +87,19 @@ class TestReproduce:
         assert "estimated belief" in printed
         assert "correlation" in printed
 
+    @pytest.mark.parametrize("figure", ["fig2", "fig3"])
+    def test_constant_gain_map_is_runtime_error(self, figure, tmp_path, capsys):
+        # Two query points leave one non-diagonal pair and its swap, so the
+        # map is constant and its correlation undefined.
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text(FAST_CFG + "grid.query_points = 2\n")
+        out = tmp_path / "out"
+        assert main(["reproduce", figure, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the true gain map is constant over the non-diagonal candidates, "
+            "so its correlation is undefined\n")
+        assert list(out.iterdir()) == []
+
     def test_fig4_outputs(self, tmp_path, fast_config):
         out = tmp_path / "t"
         code = main(["reproduce", "fig4", "--seed", "3", "--out", str(out),
@@ -186,6 +199,13 @@ class TestEstimateAndIntent:
 
     def test_intent_bf_bad_query_is_runtime_error(self, capsys):
         assert main(["intent-bf", "--query", "oops"]) == 2
+
+    @pytest.mark.parametrize("query, problem", [("1e400,2", "x1 must be finite, got inf"),
+                                                ("nan,2", "x1 must be finite, got nan"),
+                                                ("2,-1e400", "x2 must be finite, got -inf")])
+    def test_intent_bf_non_finite_query_names_the_coordinate(self, query, problem, capsys):
+        assert main(["intent-bf", f"--query={query}"]) == 2
+        assert capsys.readouterr().err == f"error: {problem}\n"
 
     def test_intent_bf_underflowed_level4_marginal_is_runtime_error(self, tmp_path, capsys):
         # Every policy underflows to 0 on most candidates at this rationality.

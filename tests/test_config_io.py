@@ -49,6 +49,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"prior\.sigma1"):
             parse_config_text("prior.sigma1 = -1\n")
 
+    @pytest.mark.parametrize("key", ["prior.sigma1", "prior.sigma2", "mle.sigma1_lo",
+                                     "mle.sigma1_hi", "mle.sigma2_lo", "mle.sigma2_hi"])
+    def test_subnormal_sigma_names_key_and_line(self, key):
+        with pytest.raises(ConfigError, match=rf"^<config>:2: {re.escape(key)} must be "
+                                              rf">= 2\.2250738585072014e-308, got 1e-320$"):
+            parse_config_text(f"run.seed = 1\n{key} = 1e-320\n")
+
     def test_malformed_line(self):
         with pytest.raises(ConfigError, match="<config>:1"):
             parse_config_text("run.seed 4\n")

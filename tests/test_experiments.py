@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from querymind import experiments
+from querymind.agents import MleSearchConfig, ParamRange
 from querymind.model import BeliefParams, InvalidInputError, Query, discretize_belief
 from querymind.inference import QueryGrid, posterior_update
 from querymind.experiments import (
@@ -62,6 +63,20 @@ class TestIdentifiability:
         a = run_unimodal_identifiability(cfg).to_json()
         b = run_unimodal_identifiability(cfg).to_json()
         assert a == b
+
+    @pytest.mark.parametrize("name, changes", [
+        # Every gain of a point-mass belief is 0.
+        ("true", {"prior": BeliefParams(-3.0, 1e-200, 3.0, 1.0, 0.9)}),
+        ("estimated", {"mle": MleSearchConfig(
+            mu1=ParamRange(-3.0, -3.0, 1), mu2=ParamRange(3.0, 3.0, 1),
+            sigma1=ParamRange(1e-200, 1e-200, 1), sigma2=ParamRange(1.0, 1.0, 1),
+            p_z=ParamRange(1.0, 1.0, 1), n_refine_iters=0)}),
+    ])
+    def test_constant_gain_map_is_a_config_error(self, name, changes):
+        # np.corrcoef of a constant map warns and returns NaN.
+        cfg = replace(ScenarioConfig(query_grid=SMALL_QG), **changes)
+        with pytest.raises(ConfigError, match=f"^the {name} gain map is constant"):
+            run_unimodal_identifiability(cfg)
 
     def test_gain_map_correlation_recovered(self):
         rep = run_unimodal_identifiability(ScenarioConfig(seed=0))

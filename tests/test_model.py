@@ -6,6 +6,7 @@ from scipy.stats import norm
 
 from querymind.model import (
     ABSOLUTE_DISTANCE,
+    MIN_SIGMA,
     SQUARED_DISTANCE,
     BeliefParams,
     DegenerateBeliefError,
@@ -141,6 +142,23 @@ class TestMixtureDensity:
             BeliefParams(0.0, -1.0, 0.0, 1.0, 0.5)
         with pytest.raises(InvalidInputError):
             BeliefParams(0.0, 1.0, 0.0, 0.0, 0.5)
+
+    def test_rejects_sigma_below_smallest_normal(self):
+        # Below it the peak 1 / (sigma sqrt(2 pi)) can overflow to inf.
+        with pytest.raises(InvalidInputError, match="standard deviations must be >= "):
+            BeliefParams(0.0, 1e-320, 0.0, 1.0, 0.5)
+        with pytest.raises(InvalidInputError, match="standard deviations must be >= "):
+            BeliefParams(0.0, 1.0, 0.0, MIN_SIGMA / 2, 0.5)
+        peak = mixture_density(BeliefParams(0.0, MIN_SIGMA, 0.0, MIN_SIGMA, 0.5), 0.0)
+        assert math.isfinite(peak) and peak > 1e307
+
+    def test_overflowing_tail_is_zero_without_warning(self, default_grid):
+        # z * z overflows away from the tiny component's mean; the tail's
+        # limit is 0, and pytest turns a RuntimeWarning into a failure.
+        d = mixture_density(BeliefParams(-3.0, 1e-200, 3.0, 1.0, 0.9), default_grid.points)
+        assert np.all(np.isfinite(d))
+        assert d[default_grid.index_of(-6.0)] == pytest.approx(
+            0.1 * norm.pdf(-6.0, loc=3.0, scale=1.0), rel=1e-12)
 
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(11)
