@@ -23,6 +23,7 @@ from .model import (
     DENSITY_FLOOR,
     MIN_SIGMA,
     BeliefParams,
+    DegenerateBeliefError,
     GridBelief,
     InvalidInputError,
     LabeledExample,
@@ -228,6 +229,14 @@ def _summed_eig_batch(mass: np.ndarray, lik1: np.ndarray) -> np.ndarray:
     return total
 
 
+def _sorted_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` without its argsort: the
+    distinct values come from a sort, and each entry's index from a binary
+    search among them."""
+    distinct = np.unique(values)
+    return distinct, np.searchsorted(distinct, values)
+
+
 def _separable_summed_eig(params: np.ndarray, lik1: np.ndarray,
                           points: np.ndarray) -> np.ndarray:
     """Summed dual-form gain ``sum_q [H_b(m . L_q) - m . H_b(L_q)]`` per row.
@@ -239,11 +248,16 @@ def _separable_summed_eig(params: np.ndarray, lik1: np.ndarray,
     ``A`` and ``B``, divided by ``Z``.
     """
     n = params.shape[0]
-    mu_vals, mu_idx = np.unique(np.concatenate([params[:, 0], params[:, 2]]),
-                                return_inverse=True)
-    s_vals, s_idx = np.unique(np.concatenate([params[:, 1], params[:, 3]]),
-                              return_inverse=True)
-    keys, comp = np.unique(mu_idx * s_vals.size + s_idx, return_inverse=True)
+    mu_vals, mu_idx = _sorted_codes(np.concatenate([params[:, 0], params[:, 2]]))
+    s_vals, s_idx = _sorted_codes(np.concatenate([params[:, 1], params[:, 3]]))
+    # Number the (mu, sigma) pairs present in ascending key order through a
+    # dense presence table; the table has one entry per pair of distinct
+    # values, which a search grid keeps small.
+    key = mu_idx * s_vals.size + s_idx
+    present = np.zeros(mu_vals.size * s_vals.size, dtype=bool)
+    present[key] = True
+    keys = np.flatnonzero(present)
+    comp = (np.cumsum(present) - 1)[key]
     mu = mu_vals[keys // s_vals.size][:, None]
     sigma = s_vals[keys % s_vals.size][:, None]
     phi = _normal_density(points[None, :], mu, sigma)
@@ -393,7 +407,8 @@ def mle_belief(queries: Sequence[Query], cfg: MleSearchConfig, qg: QueryGrid,
     ``n_refine_iters`` passes of the same-sized grid on shrinking windows
     around the incumbent.  Returns the canonical best candidate; its score is
     at least that of every coarse-grid point.  Ties resolve to the lowest
-    enumeration index.
+    enumeration index.  If every candidate scores -inf (none has mass on
+    ``grid``), it raises :class:`DegenerateBeliefError` naming the ranges.
 
     In exact mode the coarse pass takes its normalizers from
     :func:`_coarse_log_normalizers`, computed once per process for each
@@ -434,6 +449,13 @@ def mle_belief(queries: Sequence[Query], cfg: MleSearchConfig, qg: QueryGrid,
         widths = [w * cfg.refine_shrink for w in widths]
         axes = [np.linspace(*_clip_window(c, w, *b), r.count) if r.count > 1 else np.array([c])
                 for r, w, b, c in zip(ranges, widths, bounds, best_params)]
+    if best_value == -np.inf:
+        raise DegenerateBeliefError(
+            f"no candidate belief has representable mass on the theta grid "
+            f"[{float(grid.lo)!r}, {float(grid.hi)!r}]: every candidate in the search ranges "
+            + ", ".join(f"{name} [{float(r.lo)!r}, {float(r.hi)!r}]"
+                        for name, r in zip(("mu1", "mu2", "sigma1", "sigma2", "p_z"), ranges))
+            + " scored -inf")
     bp = BeliefParams(best_params[0], math.exp(best_params[2]),
                       best_params[1], math.exp(best_params[3]), best_params[4])
     return canonicalize(bp)

@@ -33,7 +33,8 @@ class InvalidInputError(ValueError):
 
 
 class DegenerateBeliefError(RuntimeError):
-    """Every grid point underflowed; the belief cannot be normalized."""
+    """Every grid point underflowed, so the belief cannot be normalized; or
+    no candidate belief of a search has representable mass on its grid."""
 
 
 def _require_finite(**values: float) -> None:
@@ -206,8 +207,11 @@ def _normal_density(theta, mu, sigma):
 def mixture_density(bp: BeliefParams, theta):
     """Mixture density at ``theta`` (scalar or array)."""
     th = np.asarray(theta, dtype=np.float64)
-    d1 = _normal_density(th, bp.mu1, bp.sigma1)
-    d2 = _normal_density(th, bp.mu2, bp.sigma2)
+    # Both components in one call, stacked on a leading axis, so np.errstate
+    # is entered once.
+    shape = (2,) + (1,) * th.ndim
+    d1, d2 = _normal_density(th, np.array([bp.mu1, bp.mu2]).reshape(shape),
+                             np.array([bp.sigma1, bp.sigma2]).reshape(shape))
     out = bp.p_z * d1 + (1.0 - bp.p_z) * d2
     if np.ndim(theta) == 0:
         return float(out)
@@ -227,7 +231,8 @@ def discretize_belief(bp: BeliefParams, grid: ThetaGrid) -> GridBelief:
     total = density.sum()
     if total <= 0.0:
         raise DegenerateBeliefError(
-            f"mixture {bp.astuple()} has no representable mass on [{grid.lo}, {grid.hi}]")
+            f"mixture {tuple(map(float, bp.astuple()))} has no representable mass "
+            f"on [{grid.lo}, {grid.hi}]")
     return GridBelief(grid, density / total)
 
 

@@ -7,6 +7,7 @@ SVG geometry uses integer pixel coordinates.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from typing import Iterable, Sequence
@@ -24,9 +25,14 @@ _CELL_PX = 12
 _MARKER_COLOR = "#ff3b30"
 
 
+# 17-significant-digit decimal, round-trip exact for float64.  Writers that
+# format many cells apply it directly: ``_REAL % x == fmt_real(x)``.
+_REAL = "%.17g"
+
+
 def fmt_real(x: float) -> str:
     """17-significant-digit decimal, round-trip exact for float64."""
-    return f"{float(x):.17g}"
+    return _REAL % float(x)
 
 
 def _write_text(text: str, path: str | os.PathLike) -> None:
@@ -34,10 +40,32 @@ def _write_text(text: str, path: str | os.PathLike) -> None:
         fh.write(text)
 
 
-def _write_csv(path: str | os.PathLike, header: str, rows: Iterable[Iterable[float]]) -> None:
-    """One line per row, every cell through :func:`fmt_real`; integers below
-    2**53 print exactly as ``f"{n}"`` would."""
-    lines = [header] + [",".join(map(fmt_real, row)) for row in rows]
+def _write_csv(path: str | os.PathLike, header: str, rows: Iterable[Sequence[float]]) -> None:
+    """One line per row, every cell as :func:`fmt_real` prints it; integers
+    below 2**53 print exactly as ``f"{n}"`` would."""
+    rows = [tuple(row) for row in rows]
+    line = ",".join([_REAL] * len(rows[0])) if rows else ""
+    _write_text("\n".join([header] + [line % row for row in rows]) + "\n", path)
+
+
+@functools.lru_cache(maxsize=8)
+def _candidate_prefixes(axis: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The ``"x1,x2,"`` prefix of each candidate's row, and the ``"x1,x2,y,"``
+    prefixes of its two answers, for a query grid whose formatted axis is
+    ``axis``.  Keyed on the text, not the grid: grids that compare equal can
+    still differ in the sign of a zero endpoint."""
+    pairs = tuple(f"{a},{b}," for a in axis for b in axis)
+    return pairs, tuple(f"{p}{y}," for p in pairs for y in "01")
+
+
+def _grid_prefixes(qg: QueryGrid) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    return _candidate_prefixes(tuple(_REAL % x for x in qg.axis.tolist()))
+
+
+def _write_value_csv(path: str | os.PathLike, header: str, prefixes: Sequence[str],
+                     values: np.ndarray) -> None:
+    """Rows ``prefix + fmt_real(value)``; only the value column is formatted."""
+    lines = [header] + [p + _REAL % v for p, v in zip(prefixes, values.tolist())]
     _write_text("\n".join(lines) + "\n", path)
 
 
@@ -45,7 +73,7 @@ def write_eig_csv(values: np.ndarray, qg: QueryGrid, path: str | os.PathLike) ->
     """Per-candidate gain map as ``x1,x2,eig`` rows in enumeration order."""
     if values.shape != (qg.n_candidates,):
         raise ValueError("value count does not match candidate count")
-    _write_csv(path, "x1,x2,eig", np.column_stack([qg.candidates, values]).tolist())
+    _write_value_csv(path, "x1,x2,eig", _grid_prefixes(qg)[0], values)
 
 
 def write_belief_csv(b: GridBelief, path: str | os.PathLike) -> None:
@@ -89,40 +117,46 @@ def write_teaching_csv(utils: np.ndarray, qg: QueryGrid, path: str | os.PathLike
     """Teaching utilities as ``x1,x2,y,utility``, candidate-major then answer."""
     if utils.shape != (2 * qg.n_candidates,):
         raise ValueError("utility count does not match candidate/answer count")
-    cands = np.repeat(qg.candidates, 2, axis=0)
-    answers = np.tile([0.0, 1.0], qg.n_candidates)
-    _write_csv(path, "x1,x2,y,utility", np.column_stack([cands, answers, utils]).tolist())
+    _write_value_csv(path, "x1,x2,y,utility", _grid_prefixes(qg)[1], utils)
 
 
-def _ramp_color(t: float) -> str:
-    r = round(RAMP_LOW[0] + t * (RAMP_HIGH[0] - RAMP_LOW[0]))
-    g = round(RAMP_LOW[1] + t * (RAMP_HIGH[1] - RAMP_LOW[1]))
-    b = round(RAMP_LOW[2] + t * (RAMP_HIGH[2] - RAMP_LOW[2]))
-    return f"rgb({r},{g},{b})"
+@functools.lru_cache(maxsize=8)
+def _heatmap_body(n: int) -> str:
+    """The ``<rect>`` lines of an ``n``-by-``n`` heatmap, each fill left as
+    ``rgb(%d,%d,%d)``.  Candidate ``c = i n + j`` is column ``i`` and row
+    ``n - 1 - j`` (x2 increases upward)."""
+    return "\n".join(
+        f'<rect x="{i * _CELL_PX}" y="{(n - 1 - j) * _CELL_PX}" width="{_CELL_PX}" '
+        f'height="{_CELL_PX}" fill="rgb(%d,%d,%d)"/>'
+        for i in range(n) for j in range(n))
 
 
 def render_heatmap_svg(values: np.ndarray, qg: QueryGrid, path: str | os.PathLike,
                        annotations: Sequence[Query] | None = None) -> None:
     """One rectangle per candidate; x1 on the horizontal axis, x2 vertical
-    (increasing upward).  Optional cross markers flag specific queries."""
+    (increasing upward).  Optional cross markers flag specific queries.
+
+    Each channel is ``RAMP_LOW + t * (RAMP_HIGH - RAMP_LOW)`` rounded half to
+    even, with ``t`` the value's position in [min, max].
+    """
     n = qg.n_per_axis
     if values.shape != (qg.n_candidates,):
         raise ValueError("value count does not match candidate count")
+    values = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("heatmap values must be finite")
     vmin = float(values.min())
-    vmax = float(values.max())
-    span = vmax - vmin
+    span = float(values.max()) - vmin
+    t = np.zeros(values.shape) if span == 0.0 else (values - vmin) / span
+    low = np.array(RAMP_LOW, dtype=np.float64)
+    high = np.array(RAMP_HIGH, dtype=np.float64)
+    rgb = np.rint(low + t[:, None] * (high - low)).astype(np.int64)
     side = n * _CELL_PX
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" height="{side}" '
-        f'viewBox="0 0 {side} {side}">'
+        f'viewBox="0 0 {side} {side}">',
+        _heatmap_body(n) % tuple(rgb.ravel().tolist()),
     ]
-    for c in range(qg.n_candidates):
-        i, j = divmod(c, n)
-        t = 0.0 if span == 0.0 else (float(values[c]) - vmin) / span
-        x_px = i * _CELL_PX
-        y_px = (n - 1 - j) * _CELL_PX
-        parts.append(f'<rect x="{x_px}" y="{y_px}" width="{_CELL_PX}" '
-                     f'height="{_CELL_PX}" fill="{_ramp_color(t)}"/>')
     if annotations:
         half = _CELL_PX // 2
         arm = _CELL_PX // 3

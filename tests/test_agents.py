@@ -14,6 +14,7 @@ from querymind.model import (
     MIN_SIGMA,
     REWARD_FORMS,
     BeliefParams,
+    DegenerateBeliefError,
     GridBelief,
     InvalidInputError,
     LabeledExample,
@@ -345,6 +346,33 @@ class TestMleBelief:
         log_z = _exact_log_normalizers(rows, tg, qg, "absolute_distance", 50.0)
         got = _objective_batch(rows, lik1, tg.points, exact, 50.0, log_z, len(queries))
         assert np.all(np.isfinite(got))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_search_with_no_representable_candidate_raises(self, exact):
+        # Every candidate's components sit hundreds of units off the theta
+        # grid, so every row scores -inf; argmax would return row 0.
+        tg, qg = ThetaGrid(-6.0, 6.0, 41), QueryGrid(-6.0, 6.0, 7)
+        cfg = MleSearchConfig(mu1=ParamRange(-300.0, -200.0, 3), mu2=ParamRange(200.0, 300.0, 3),
+                              sigma1=ParamRange(0.25, 2.0, 2), sigma2=ParamRange(0.25, 2.0, 2),
+                              p_z=ParamRange(0.1, 0.9, 3), n_refine_iters=1)
+        with pytest.raises(DegenerateBeliefError) as info:
+            mle_belief([Query(-4.0, 2.0), Query(2.0, -4.0)], cfg, qg, tg, exact=exact)
+        assert str(info.value) == (
+            "no candidate belief has representable mass on the theta grid [-6.0, 6.0]: "
+            "every candidate in the search ranges mu1 [-300.0, -200.0], mu2 [200.0, 300.0], "
+            "sigma1 [0.25, 2.0], sigma2 [0.25, 2.0], p_z [0.1, 0.9] scored -inf")
+
+    def test_search_whose_coarse_pass_has_no_mass_can_still_refine(self):
+        # Coarse means -20 and 60 are off the grid, so every coarse row scores
+        # -inf; the refinement window around row 0 reaches mean 0, whose rows
+        # are finite, so the search returns one of them instead of raising.
+        tg, qg = ThetaGrid(-6.0, 6.0, 41), QueryGrid(-6.0, 6.0, 7)
+        cfg = MleSearchConfig(mu1=ParamRange(-20.0, 60.0, 2), mu2=ParamRange(-20.0, 60.0, 2),
+                              sigma1=ParamRange(0.1, 0.1, 1), sigma2=ParamRange(0.1, 0.1, 1),
+                              p_z=ParamRange(0.5, 0.5, 1), n_refine_iters=1)
+        est = mle_belief([Query(-4.0, 2.0)], cfg, qg, tg)
+        assert 0.0 in (est.mu1, est.mu2)
+        assert math.isfinite(mle_objective([Query(-4.0, 2.0)], est, qg, tg))
 
     def test_output_is_canonical(self):
         rng = np.random.default_rng(4)

@@ -20,6 +20,19 @@ mle.refine_iters = 1
 """
 
 
+# Search ranges whose every candidate lies hundreds of units off the theta grid.
+OFF_GRID_CFG = FAST_CFG + """
+mle.mu1_lo = -300
+mle.mu1_hi = -200
+mle.mu2_lo = 200
+mle.mu2_hi = 300
+"""
+OFF_GRID_ERROR = (
+    "error: no candidate belief has representable mass on the theta grid [-6.0, 6.0]: "
+    "every candidate in the search ranges mu1 [-300.0, -200.0], mu2 [200.0, 300.0], "
+    "sigma1 [0.25, 2.0], sigma2 [0.25, 2.0], p_z [0.1, 0.9] scored -inf\n")
+
+
 @pytest.fixture
 def fast_config(tmp_path):
     path = tmp_path / "fast.cfg"
@@ -98,6 +111,14 @@ class TestReproduce:
         assert capsys.readouterr().err == (
             "error: the true gain map is constant over the non-diagonal candidates, "
             "so its correlation is undefined\n")
+        assert list(out.iterdir()) == []
+
+    def test_search_without_representable_candidate_is_runtime_error(self, tmp_path, capsys):
+        cfg = tmp_path / "off.cfg"
+        cfg.write_text(OFF_GRID_CFG)
+        out = tmp_path / "out"
+        assert main(["reproduce", "fig2", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", OFF_GRID_ERROR)
         assert list(out.iterdir()) == []
 
     def test_fig4_outputs(self, tmp_path, fast_config):
@@ -179,6 +200,18 @@ class TestEstimateAndIntent:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"{bad}:2: expected 2 columns, got 1" in err
+
+    @pytest.mark.parametrize("exact", [[], ["--exact-likelihood"]])
+    def test_estimate_belief_without_representable_candidate_is_runtime_error(
+            self, exact, tmp_path, capsys):
+        # The estimate used to be row 0 of the search, printed with exit 0.
+        cfg = tmp_path / "off.cfg"
+        cfg.write_text(OFF_GRID_CFG)
+        qcsv = tmp_path / "qs.csv"
+        qcsv.write_text("x1,x2\n-4,2\n2,-4\n")
+        code = main(["estimate-belief", "--queries", str(qcsv), "--config", str(cfg)] + exact)
+        assert code == 2
+        assert capsys.readouterr() == ("", OFF_GRID_ERROR)
 
     def test_intent_bf_matches_library(self, capsys):
         code = main(["intent-bf", "--query=-3,1"])

@@ -2,11 +2,16 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import querymind
+from querymind.cli import main
 from querymind.model import BeliefParams, GridBelief, Query, ThetaGrid, discretize_belief
 from querymind.inference import QueryGrid, entropy
 from querymind.experiments import ConfigError, RunReport, ScenarioConfig, bimodal_config
@@ -228,6 +233,13 @@ class TestCsvWriters:
             f"{b},0,0,0.22606689734717414\n{b},0,1,0.25951557093425603\n"
             f"{b},{b},0,0.29527104959630912\n{b},{b},1,0.33333333333333331\n").encode()
 
+    def test_eig_csv_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "eig.csv"
+        write_eig_csv(np.random.default_rng(11).uniform(0.0, math.log(2.0), 49),
+                      QueryGrid(-6.0, 6.0, 7), path)
+        assert _sha256(path) == (
+            "73f6dda08f39e8a2ba0a64134a7f461eadbfc2698103de0a3cbae5bcdad2e523")
+
     def test_trace_csv_bytes_are_pinned(self, tmp_path):
         path = tmp_path / "trace.csv"
         write_trace_csv([(0, -0.7, 0.7, 1, 1.0 / 3.0), (1, 0.0, -0.7, 0, 2.0 ** 0.5),
@@ -266,6 +278,145 @@ class TestHeatmap:
         svg = (tmp_path / "c.svg").read_text()
         fills = {part.split('"')[0] for part in svg.split('fill="')[1:]}
         assert len(fills) == 1
+
+    @pytest.mark.parametrize("case, digest", [
+        ("annotated", "28d7dff4ca8f40a7ea08c3cd30d14bf1babd2ba581134a3a787a0d52863a8716"),
+        ("constant", "0dd9044e0f51d823e7a134f99974967029a75e7e5bc141d25fd68791b7e1b5f9"),
+        ("half_channels", "662155e1bf4a50ade7091da485d0550b8c5c9dd801e5d38018a9a6af25534d74"),
+    ])
+    def test_bytes_are_pinned(self, case, digest, tmp_path):
+        path = tmp_path / "map.svg"
+        _write_heatmap_case(case, path)
+        if case == "half_channels":
+            # t = 0.25 puts blue on 109.5, t = 0.5 red on 126.5 and green on
+            # 128.5; each rounds half to even.
+            fills = set(re.findall(r'fill="(rgb[^"]*)"', path.read_text()))
+            assert {"rgb(70,68,110)", "rgb(126,128,84)"} <= fills
+        assert _sha256(path) == digest
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_raises_and_writes_nothing(self, bad, tmp_path):
+        qg = QueryGrid(-6.0, 6.0, 3)
+        values = np.linspace(0.0, 1.0, qg.n_candidates)
+        values[4] = bad
+        path = tmp_path / "bad.svg"
+        with pytest.raises(ValueError, match="finite"):
+            render_heatmap_svg(values, qg, path)
+        assert not path.exists()
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _write_heatmap_case(case: str, path) -> None:
+    if case == "annotated":
+        qg = QueryGrid(-6.0, 6.0, 7)
+        render_heatmap_svg(np.random.default_rng(5).uniform(0.0, 0.6, qg.n_candidates), qg,
+                           path, annotations=[Query(-6.0, 6.0), Query(0.0, 2.0)])
+    elif case == "constant":
+        render_heatmap_svg(np.full(49, 0.3), QueryGrid(-6.0, 6.0, 7), path)
+    else:
+        render_heatmap_svg(np.array([0.0, 0.25, 0.5, 0.75, 1.0, 0.5, 0.25, 0.75, 0.0]),
+                           QueryGrid(-6.0, 6.0, 3), path)
+
+
+def _write_grid_outputs(n: int, out_dir: str) -> None:
+    """Every per-grid writer on an ``n``-point query grid, values seeded by ``n``."""
+    qg = QueryGrid(-6.0, 6.0, n)
+    rng = np.random.default_rng(n)
+    os.makedirs(out_dir, exist_ok=True)
+    values = rng.uniform(0.0, 0.6, qg.n_candidates)
+    write_eig_csv(values, qg, os.path.join(out_dir, "eig.csv"))
+    write_teaching_csv(rng.uniform(0.0, 1.0, 2 * qg.n_candidates), qg,
+                       os.path.join(out_dir, "teach.csv"))
+    render_heatmap_svg(values, qg, os.path.join(out_dir, "map.svg"),
+                       annotations=[qg.query_at(qg.n_candidates - 1)])
+
+
+class TestGridCaches:
+    def test_mixed_grids_in_one_process_give_fresh_process_bytes(self, tmp_path):
+        # The writers cache per-grid text; 7-, 49- and again 7-point grids in
+        # one process must write what a process that saw one grid writes.
+        for n, tag in ((7, "first"), (49, "49"), (7, "again")):
+            _write_grid_outputs(n, str(tmp_path / f"warm-{tag}"))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(querymind.__file__)))
+        tests = os.path.dirname(os.path.abspath(__file__))
+        for n in (7, 49):
+            code = (f"import sys; sys.path[:0] = [{src!r}, {tests!r}]; "
+                    f"from test_config_io import _write_grid_outputs; "
+                    f"_write_grid_outputs({n}, {str(tmp_path / f'fresh-{n}')!r})")
+            subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
+        for warm, fresh in (("first", 7), ("49", 49), ("again", 7)):
+            for name in ("eig.csv", "teach.csv", "map.svg"):
+                assert ((tmp_path / f"warm-{warm}" / name).read_bytes()
+                        == (tmp_path / f"fresh-{fresh}" / name).read_bytes()), (warm, name)
+
+    def test_signed_zero_endpoint_is_not_served_from_the_cache(self, tmp_path):
+        # The two grids compare equal, but their last axis points print "-0" and "0".
+        for hi, last in ((-0.0, "-0"), (0.0, "0"), (-0.0, "-0")):
+            path = tmp_path / "eig.csv"
+            write_eig_csv(np.zeros(9), QueryGrid(-6.0, hi, 3), path)
+            assert path.read_text().splitlines()[-1] == f"{last},{last},0"
+
+
+# The query grid and search of the CI's reduced config.
+REDUCED_CFG = """grid.query_points = 7
+mle.mu1_count = 3
+mle.mu2_count = 3
+mle.sigma1_count = 2
+mle.sigma2_count = 2
+mle.p_z_count = 3
+mle.refine_iters = 1
+"""
+
+# sha256 of every file each figure writes, as its manifest lists them.
+PINNED_OUTPUTS = {
+    "fig2": """\
+belief_estimated.csv e6512ee6a2b4da305f364d86672fe8a30901ada355803e3731b655c642e37a21
+belief_true.csv 11aaa710fe7dad6562180e79638af8bfca74f10f788d8a7c58efa7478b4c1e0d
+eig_estimated.csv 2e8c02217cc5c0716dfdfb0e8e80753bca6bfc7d6f2c11fe996f35b49839a470
+eig_true.csv e9b528a64ea272f64b206c9e5f09c8417499cab98f690dbb46760b5d2bf69493
+heatmap_estimated.svg 846243cd032efa9b9e7b87ec91e4b15dcce51b376054b7e8af65b5a2fe1e7d41
+heatmap_true.svg baa05ffb917710c40b6d14d5f155014e892e25b396ec86ac9868cc45bf08d138
+queries.csv 51c9be1a4ee5ea9c02ad58097b0800cbcac3f74968e00a814710a6fad6806703
+report.json 740e32bf4e52ef6e0d709337c39efb88f05e88b744b8fc73e01d98ec31f2b129
+""",
+    "fig3": """\
+belief_estimated.csv e6512ee6a2b4da305f364d86672fe8a30901ada355803e3731b655c642e37a21
+belief_true.csv 2126c6d829e244d539f5b908586a790818cd247b0a5c10b3b3c74f17402861a1
+eig_estimated.csv 2e8c02217cc5c0716dfdfb0e8e80753bca6bfc7d6f2c11fe996f35b49839a470
+eig_true.csv 79f9d38a3307f52913d4cde6e51893f1b976b5f233a0c6f97c538e748d14e15b
+heatmap_estimated.svg 846243cd032efa9b9e7b87ec91e4b15dcce51b376054b7e8af65b5a2fe1e7d41
+heatmap_true.svg c6db65e436b6b2d9f02594431b6636d4b261feb7f43c3895b9d03acf17c2968a
+queries.csv 8c18241513c15415f3bfc2746618172d244a380d9e517f658573cae56a557318
+report.json a7d3c9130b81fa0c6ce42ddfbdfd2fb2210bbe25c3a63bf8126af5f4067fc108
+""",
+    "fig4": """\
+belief_inferred.csv e6512ee6a2b4da305f364d86672fe8a30901ada355803e3731b655c642e37a21
+heatmap_teach_adaptive.svg 7a95d635d672464ada6a0ea5809e0afdd29d42e5bc352035aea8073d6a6eb7b5
+heatmap_teach_uniform.svg 0e46c97d77c2a4f06d88f35e90578c44f1ed75b0dfb512411977197204e7f96a
+queries.csv 51c9be1a4ee5ea9c02ad58097b0800cbcac3f74968e00a814710a6fad6806703
+report.json 0bbae64ba0fe1dc436a286ee46c2a20e027537a8bbe24f4b7a2f2b067bbd7a5b
+teach_adaptive.csv 28f483ba0a9b4445fa206b3a3624819901fa752a8530cfdd697dec21b1e8ffd1
+teach_uniform.csv d7dd98ca2c25b13af52d0fd478088391b4b48a268d38ff551a96f44083f90e03
+""",
+}
+
+
+class TestReproduceBytes:
+    @pytest.mark.parametrize("figure", sorted(PINNED_OUTPUTS))
+    def test_every_output_checksum_is_pinned(self, figure, tmp_path):
+        cfg = tmp_path / "reduced.cfg"
+        cfg.write_text(REDUCED_CFG)
+        out = tmp_path / "out"
+        assert main(["reproduce", figure, "--config", str(cfg), "--out", str(out)]) == 0
+        digests = ""
+        for line in (out / "manifest.txt").read_text().splitlines():
+            key, _, value = line.partition(" = ")
+            if key.startswith("output.") and key.endswith(".sha256"):
+                digests += f"{key[len('output.'):-len('.sha256')]} {value}\n"
+        assert digests == PINNED_OUTPUTS[figure]
 
 
 class TestManifest:

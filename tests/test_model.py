@@ -6,6 +6,7 @@ from scipy.stats import norm
 
 from querymind.model import (
     ABSOLUTE_DISTANCE,
+    _normal_density,
     MIN_SIGMA,
     SQUARED_DISTANCE,
     BeliefParams,
@@ -160,6 +161,19 @@ class TestMixtureDensity:
         assert d[default_grid.index_of(-6.0)] == pytest.approx(
             0.1 * norm.pdf(-6.0, loc=3.0, scale=1.0), rel=1e-12)
 
+    # Default prior, the fig3 prior and the two intent-bf particles.
+    @pytest.mark.parametrize("bp", [BeliefParams(-3.0, 1.0, 3.0, 1.0, 0.9),
+                                    BeliefParams(-3.0, 0.5, 3.0, 0.5, 0.6),
+                                    BeliefParams(-3.0, 1.0, 3.0, 1.0, 0.1)])
+    def test_one_stacked_call_keeps_the_two_call_bits(self, bp, default_grid):
+        for theta in (default_grid.points, default_grid.points.reshape(1, -1, 1), -3.0, 0.5):
+            th = np.asarray(theta, dtype=np.float64)
+            two_calls = (bp.p_z * _normal_density(th, bp.mu1, bp.sigma1)
+                         + (1.0 - bp.p_z) * _normal_density(th, bp.mu2, bp.sigma2))
+            got = mixture_density(bp, theta)
+            assert np.shape(got) == np.shape(theta)
+            assert np.asarray(got).tobytes() == two_calls.tobytes()
+
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
@@ -197,6 +211,13 @@ class TestDiscretizeBelief:
         bp = BeliefParams(500.0, 0.01, 500.0, 0.01, 0.5)
         with pytest.raises(DegenerateBeliefError):
             discretize_belief(bp, default_grid)
+
+    def test_error_prints_plain_floats(self, default_grid):
+        bp = BeliefParams(np.float64(-300.0), 0.25, np.float64(200.0), 0.25, np.float64(0.5))
+        with pytest.raises(DegenerateBeliefError) as info:
+            discretize_belief(bp, default_grid)
+        assert str(info.value) == ("mixture (-300.0, 0.25, 200.0, 0.25, 0.5) has no "
+                                   "representable mass on [-6.0, 6.0]")
 
 
 class TestCanonicalize:
