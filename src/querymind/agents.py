@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,7 +43,6 @@ from .inference import (
     QueryGrid,
     QueryPolicy,
     _binary_entropy,
-    _log_normalizers,
     _require_rationality,
     eig_map,
     expected_info_gain,
@@ -52,13 +53,10 @@ from .inference import (
 )
 
 # Batch size for vectorized search over candidate mixtures; bounds peak
-# memory at roughly batch * n_grid_points * 8 bytes per temporary in exact
-# mode and batch * n_queries * 8 bytes in the summed kernel.  While
-# :func:`_exact_log_normalizers` runs it also holds the (C, K) candidate-grid
-# likelihoods ``L``, their shared complement ``1 - L`` and one (C, K) buffer
-# per normalizer worker, all freed before the pass scores its data term; a
-# search whose coarse normalizers are cached builds them only for its
-# refinement passes.
+# memory at roughly batch * n_grid_points * 8 bytes per temporary in the
+# exact data term and batch * n_queries * 8 bytes in the summed kernel.  The
+# exact normalizer goes one row at a time, with one (C, K) buffer per worker
+# beside the candidate grid's ``L`` and ``1 - L`` (:func:`_exact_log_normalizers`).
 _SEARCH_CHUNK = 1024
 
 # Search coordinates are (mu1, mu2, log s1, log s2, p_z): the sigma axes of
@@ -163,72 +161,6 @@ def l2_select_query(policy: QueryPolicy, mode: str = "sample",
     return policy.grid.query_at(idx)
 
 
-def _mixture_mass_batch(params: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Normalized grid mass for a (B, 5) batch of mixture parameters.
-
-    Exact mode only, like :func:`_summed_eig_batch`: its bits decide the
-    rounding ties pinned by the benchmark reference, so it stays frozen until
-    that reference is regenerated.  The floor applies to the mixture.  An
-    overflowing squared z-score gives its limit, 0, as in
-    :func:`querymind.model._normal_density`.
-    """
-    mu1 = params[:, 0][:, None]
-    s1 = params[:, 1][:, None]
-    mu2 = params[:, 2][:, None]
-    s2 = params[:, 3][:, None]
-    pz = params[:, 4][:, None]
-    th = points[None, :]
-    inv_sqrt_2pi = 1.0 / math.sqrt(2.0 * math.pi)
-    with np.errstate(over="ignore"):
-        z1 = (th - mu1) / s1
-        z2 = (th - mu2) / s2
-        dens = pz * (inv_sqrt_2pi / s1) * np.exp(-0.5 * z1 * z1) \
-            + (1.0 - pz) * (inv_sqrt_2pi / s2) * np.exp(-0.5 * z2 * z2)
-    dens = np.where(dens < DENSITY_FLOOR, 0.0, dens)
-    total = np.sum(dens, axis=1)
-    bad = total <= 0.0
-    if np.any(bad):
-        # Unrepresentable candidates score -inf later instead of erroring out.
-        total = np.where(bad, 1.0, total)
-        dens[bad] = 0.0
-    mass = dens / total[:, None]
-    return mass
-
-
-def _summed_eig_batch(mass: np.ndarray, lik1: np.ndarray) -> np.ndarray:
-    """Sum over queries of the expected information gain for each mass row.
-
-    Exact mode only: it is the data term of the exact objective, whose bits
-    decide the rounding ties pinned by the benchmark reference, so it stays
-    frozen until that reference is regenerated.  Algebraically the gain map
-    of :func:`querymind.inference._posterior_gain_map` summed over the (N, K)
-    likelihood rows, organized as fused multiply-sums:
-    ``H(post_y) = ln p_y - (1/p_y) * sum_k t_yk ln t_yk`` with
-    ``t_y = mass * lik_y``.  All reductions are fixed-order einsum loops, so
-    results do not depend on BLAS threading.
-    """
-    a = xlogy(mass, mass)
-    neg_h = np.einsum("bk->b", a)
-    row_sum = np.einsum("bk->b", mass)
-    total = np.zeros(mass.shape[0])
-    for lik in lik1:
-        lik0 = 1.0 - lik
-        s1 = np.einsum("bk,k->b", mass, lik)
-        s0 = row_sum - s1
-        # sum_k t ln t = sum_k (m ln m) * lik + sum_k m * (lik ln lik)
-        a1 = np.einsum("bk,k->b", a, lik)
-        a0 = neg_h - a1
-        q1 = a1 + np.einsum("bk,k->b", mass, xlogy(lik, lik))
-        q0 = a0 + np.einsum("bk,k->b", mass, xlogy(lik0, lik0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h1 = np.log(s1) - q1 / s1
-            h0 = np.log(s0) - q0 / s0
-        # An answer with zero predictive probability adds its limit, 0.
-        total += (np.where(s1 > 0, s1 * (-neg_h - h1), 0.0)
-                  + np.where(s0 > 0, s0 * (-neg_h - h0), 0.0))
-    return total
-
-
 def _sorted_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(values, return_inverse=True)`` without its argsort: the
     distinct values come from a sort, and each entry's index from a binary
@@ -241,6 +173,10 @@ def _separable_summed_eig(params: np.ndarray, lik1: np.ndarray,
                           points: np.ndarray) -> np.ndarray:
     """Summed dual-form gain ``sum_q [H_b(m . L_q) - m . H_b(L_q)]`` per row.
 
+    The summed-mode score of each (mu1, s1, mu2, s2, p_z) row; ``lik1`` is
+    (N, K) over the non-diagonal dataset queries (diagonals add zero gain).
+    Each component density is floored at ``DENSITY_FLOOR`` on its own before
+    it is mixed, and a row with no representable grid mass scores -inf.
     Every row is ``p * phi_a + (1 - p) * phi_b`` over its two components, so
     the grid-sized products are taken once per distinct ``(mu, sigma)``:
     ``S_u = sum phi_u``, ``A[u, q] = phi_u . L_q``, ``B[u, q] = phi_u . H_b(L_q)``.
@@ -299,25 +235,120 @@ def _coarse_axes(ranges: Sequence[ParamRange]) -> list[np.ndarray]:
     return [np.log(r.values()) if log else r.values() for r, log in zip(ranges, _LOG_SCALED)]
 
 
+# Exact mode, from here to :func:`_exact_objective`.  Its bits decide the
+# rounding ties pinned by the benchmark reference, so this block stays frozen
+# until that reference is regenerated.
+def _mixture_mass_batch(params: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Normalized grid mass for a (B, 5) batch of mixture parameters.
+
+    The floor applies to the mixture.  An overflowing squared z-score gives
+    its limit, 0, as in :func:`querymind.model._normal_density`.
+    """
+    mu1 = params[:, 0][:, None]
+    s1 = params[:, 1][:, None]
+    mu2 = params[:, 2][:, None]
+    s2 = params[:, 3][:, None]
+    pz = params[:, 4][:, None]
+    th = points[None, :]
+    inv_sqrt_2pi = 1.0 / math.sqrt(2.0 * math.pi)
+    with np.errstate(over="ignore"):
+        z1 = (th - mu1) / s1
+        z2 = (th - mu2) / s2
+        dens = pz * (inv_sqrt_2pi / s1) * np.exp(-0.5 * z1 * z1) \
+            + (1.0 - pz) * (inv_sqrt_2pi / s2) * np.exp(-0.5 * z2 * z2)
+    dens = np.where(dens < DENSITY_FLOOR, 0.0, dens)
+    total = np.sum(dens, axis=1)
+    bad = total <= 0.0
+    if np.any(bad):
+        # Unrepresentable candidates score -inf later instead of erroring out.
+        total = np.where(bad, 1.0, total)
+        dens[bad] = 0.0
+    mass = dens / total[:, None]
+    return mass
+
+
+def _summed_eig_batch(mass: np.ndarray, lik1: np.ndarray) -> np.ndarray:
+    """Sum over queries of the expected information gain for each mass row.
+
+    The data term of :func:`_exact_objective`.  Algebraically the gain map
+    of :func:`_exact_log_normalizers` summed over the (N, K) likelihood rows,
+    organized as fused multiply-sums:
+    ``H(post_y) = ln p_y - (1/p_y) * sum_k t_yk ln t_yk`` with
+    ``t_y = mass * lik_y``.  All reductions are fixed-order einsum loops, so
+    results do not depend on BLAS threading.
+    """
+    a = xlogy(mass, mass)
+    neg_h = np.einsum("bk->b", a)
+    row_sum = np.einsum("bk->b", mass)
+    total = np.zeros(mass.shape[0])
+    for lik in lik1:
+        lik0 = 1.0 - lik
+        s1 = np.einsum("bk,k->b", mass, lik)
+        s0 = row_sum - s1
+        # sum_k t ln t = sum_k (m ln m) * lik + sum_k m * (lik ln lik)
+        a1 = np.einsum("bk,k->b", a, lik)
+        a0 = neg_h - a1
+        q1 = a1 + np.einsum("bk,k->b", mass, xlogy(lik, lik))
+        q0 = a0 + np.einsum("bk,k->b", mass, xlogy(lik0, lik0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h1 = np.log(s1) - q1 / s1
+            h0 = np.log(s0) - q0 / s0
+        # An answer with zero predictive probability adds its limit, 0.
+        total += (np.where(s1 > 0, s1 * (-neg_h - h1), 0.0)
+                  + np.where(s0 > 0, s0 * (-neg_h - h0), 0.0))
+    return total
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _exact_log_normalizers(params: np.ndarray, grid: ThetaGrid, qg: QueryGrid, form: str,
                            beta_a: float) -> np.ndarray:
     """Exact-mode (B,) normalizers ``log sum_c exp(beta_a * EIG_c(m))`` of the
-    (mu1, s1, mu2, s2, p_z) rows over the candidate grid of ``qg``.
+    (mu1, s1, mu2, s2, p_z) rows over the C candidates of ``qg``.
 
-    The one normalizer loop: each chunk's mixture mass goes through
-    :func:`querymind.inference._log_normalizers` with the (C, K) likelihood
-    matrix ``L`` of the candidate grid and one shared (C, K) ``1 - L``, which
-    are freed when it returns.
+    The softmax query policy's normalizer.  Each row's mass ``m``
+    (:func:`_mixture_mass_batch`) gets a gain map computed as the scalar path
+    does it (posterior normalization followed by entropy, answer 1 before
+    answer 0) against the (C, K) likelihoods ``L`` of the candidate grid and
+    one shared ``1 - L``.  Rows are dealt round-robin to one thread per CPU;
+    each thread owns one (C, K) buffer and computes and writes only its own
+    rows, start to finish, so the thread count never changes a bit.  Workers
+    call only private functions and scipy: perfbench's tracer wraps the
+    public ones with one span stack, which a second thread would corrupt.
     """
     points = grid.points
-    grid_lik1 = likelihood_matrix(points, qg.candidates, form)
-    grid_lik0 = 1.0 - grid_lik1
-    log_z = np.empty(params.shape[0])
-    for start in range(0, params.shape[0], _SEARCH_CHUNK):
-        rows = slice(start, start + _SEARCH_CHUNK)
-        log_z[rows] = _log_normalizers(_mixture_mass_batch(params[rows], points),
-                                       grid_lik1, grid_lik0, beta_a)
-    return log_z
+    lik1 = likelihood_matrix(points, qg.candidates, form)
+    lik0 = 1.0 - lik1
+    n = params.shape[0]
+    out = np.empty(n)
+    workers = min(_cpu_count(), n)
+
+    def work(first: int) -> None:
+        buf = np.empty(lik1.shape)
+        # numpy's error state is per thread.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for r in range(first, n, workers):
+                m = _mixture_mass_batch(params[r:r + 1], points)
+                prior_h = -np.sum(xlogy(m, m), axis=-1)
+                terms = []
+                for lik in (lik1, lik0):
+                    np.multiply(m, lik, out=buf)
+                    p = np.sum(buf, axis=-1)
+                    np.divide(buf, p[:, None], out=buf)
+                    xlogy(buf, buf, out=buf)
+                    h = -np.sum(buf, axis=-1)
+                    # An answer with zero predictive probability adds its limit, 0.
+                    terms.append(np.where(p > 0, p * (prior_h - h), 0.0))
+                out[r] = logsumexp(beta_a * (terms[0] + terms[1]))
+
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(work, range(workers)))
+    return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -337,23 +368,17 @@ def _coarse_log_normalizers(ranges: tuple[ParamRange, ...], grid: ThetaGrid, qg:
     return log_z
 
 
-def _objective_batch(params: np.ndarray, lik1: np.ndarray, points: np.ndarray,
-                     exact: bool, beta_a: float, log_z: np.ndarray | None,
-                     n_queries: int) -> np.ndarray:
-    """Summed EIG of the dataset queries for each (mu1, s1, mu2, s2, p_z) row.
+def _exact_objective(params: np.ndarray, lik1: np.ndarray, points: np.ndarray,
+                     beta_a: float, log_z: np.ndarray, n_queries: int) -> np.ndarray:
+    """Exact-mode score of each (mu1, s1, mu2, s2, p_z) row: the normalized
+    log-likelihood of the dataset queries under the softmax query policy.
 
-    ``lik1`` is (N, K) over the non-diagonal dataset queries (diagonals add
-    zero gain).  The summed score uses the separable dual form
-    (:func:`_separable_summed_eig`), where each component density is floored
-    at ``DENSITY_FLOOR`` on its own before it is mixed; it ignores ``log_z``.
-    In exact mode the result is the normalized log-likelihood under the
-    softmax query policy: the data term ``beta_a * sum_i EIG(q_i)`` on the
-    mixture mass, floored as a whole, minus ``n_queries`` times the rows'
-    (B,) normalizers ``log_z`` (:func:`_exact_log_normalizers`).
-    In both modes a row with no representable grid mass scores -inf.
+    That is the data term ``beta_a * sum_i EIG(q_i)`` on the mixture mass,
+    floored as a whole, minus ``n_queries`` times the rows' (B,) normalizers
+    ``log_z`` (:func:`_exact_log_normalizers`).  ``lik1`` is (N, K) over the
+    non-diagonal dataset queries (diagonals add zero gain).  A row with no
+    representable grid mass scores -inf.
     """
-    if not exact:
-        return _separable_summed_eig(params, lik1, points)
     out = np.empty(params.shape[0])
     for start in range(0, params.shape[0], _SEARCH_CHUNK):
         rows = slice(start, start + _SEARCH_CHUNK)
@@ -410,11 +435,12 @@ def mle_belief(queries: Sequence[Query], cfg: MleSearchConfig, qg: QueryGrid,
     enumeration index.  If every candidate scores -inf (none has mass on
     ``grid``), it raises :class:`DegenerateBeliefError` naming the ranges.
 
-    In exact mode the coarse pass takes its normalizers from
-    :func:`_coarse_log_normalizers`, computed once per process for each
-    coarse grid, theta grid, query grid, reward form and ``beta_a``; each
-    refinement pass, whose window follows the data, computes its own with
-    :func:`_exact_log_normalizers`.
+    The summed score of a pass is :func:`_separable_summed_eig`; the exact
+    one is :func:`_exact_objective`.  In exact mode the coarse pass takes its
+    normalizers from :func:`_coarse_log_normalizers`, computed once per
+    process for each coarse grid, theta grid, query grid, reward form and
+    ``beta_a``; each refinement pass, whose window follows the data, computes
+    its own with :func:`_exact_log_normalizers`.
     """
     if len(queries) == 0:
         raise InvalidInputError("query dataset must be nonempty")
@@ -434,14 +460,14 @@ def mle_belief(queries: Sequence[Query], cfg: MleSearchConfig, qg: QueryGrid,
     best_value = -np.inf
     for n_pass in range(1 + cfg.n_refine_iters):
         cand, params = _search_rows(axes)
-        # Refinement windows follow the data, so only the coarse pass's
-        # normalizers are cached.
-        log_z = None
-        if exact and n_pass == 0:
-            log_z = _coarse_log_normalizers(ranges, grid, qg, form, float(beta_a))
-        elif exact:
-            log_z = _exact_log_normalizers(params, grid, qg, form, beta_a)
-        values = _objective_batch(params, lik1, points, exact, beta_a, log_z, len(queries))
+        if not exact:
+            values = _separable_summed_eig(params, lik1, points)
+        else:
+            # Refinement windows follow the data, so only the coarse pass's
+            # normalizers are cached.
+            log_z = (_coarse_log_normalizers(ranges, grid, qg, form, float(beta_a))
+                     if n_pass == 0 else _exact_log_normalizers(params, grid, qg, form, beta_a))
+            values = _exact_objective(params, lik1, points, beta_a, log_z, len(queries))
         i = int(np.argmax(values))
         if best_params is None or values[i] > best_value:
             best_value = float(values[i])

@@ -4,11 +4,7 @@ Everything operates on finite grids, so expectations are plain sums and the
 expected information gain of a query is computed exactly rather than
 estimated.  All reductions are fixed-order ``np.sum`` or ``np.einsum`` loops
 (never BLAS: no ``@``, ``dot`` or ``einsum(optimize=...)``), which keeps
-results bit-identical across thread counts.  The exact normalizer
-(:func:`_log_normalizers`) spreads belief rows over Python threads: each
-row's gain map is computed by one thread, start to finish, with the same
-operations in the same order whatever the thread count, so the threads
-change only which core computes a row, never its bits.
+results bit-identical across thread counts.
 
 Gain maps over a whole query grid use the mutual-information ("dual") form
 ``EIG(q) = H_b(L_q . m) - m . H_b(L_q)``: two ``einsum("ck,k->c", ...)``
@@ -22,12 +18,10 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp, xlogy
+from scipy.special import expit, xlogy
 
 from .model import (
     ABSOLUTE_DISTANCE,
@@ -35,6 +29,7 @@ from .model import (
     InvalidInputError,
     Query,
     ThetaGrid,
+    _nearest_index,
     _require_finite,
     _require_form,
     _require_probabilities,
@@ -63,6 +58,9 @@ class QueryGrid:
         _require_finite(feature_lo=self.feature_lo, feature_hi=self.feature_hi)
         if not self.feature_lo < self.feature_hi:
             raise InvalidInputError("query grid needs feature_lo < feature_hi")
+        if not np.isfinite(self.feature_hi - self.feature_lo):
+            raise InvalidInputError("query grid span hi - lo overflows, "
+                                    f"got [{self.feature_lo}, {self.feature_hi}]")
         if self.n_per_axis < 2:
             raise InvalidInputError("query grid needs at least 2 points per axis")
 
@@ -87,9 +85,8 @@ class QueryGrid:
     def index_of(self, q: Query, atol: float = 1e-9) -> int:
         """Candidate index of a query that lies on the grid."""
         step = (self.feature_hi - self.feature_lo) / (self.n_per_axis - 1)
-        i = int(round((q.x1 - self.feature_lo) / step))
-        j = int(round((q.x2 - self.feature_lo) / step))
-        if not (0 <= i < self.n_per_axis and 0 <= j < self.n_per_axis):
+        i, j = (_nearest_index(x - self.feature_lo, step, self.n_per_axis) for x in (q.x1, q.x2))
+        if i is None or j is None:
             raise InvalidInputError(f"query {q} outside grid")
         ax = self.axis
         if abs(ax[i] - q.x1) > atol or abs(ax[j] - q.x2) > atol:
@@ -116,18 +113,30 @@ def answer_likelihoods(points: np.ndarray, q: Query, form: str = ABSOLUTE_DISTAN
 
 def likelihood_matrix(points: np.ndarray, candidates: np.ndarray,
                       form: str = ABSOLUTE_DISTANCE) -> np.ndarray:
-    """(n_candidates, n_points) matrix of P(y=1 | theta, candidate)."""
+    """(n_candidates, n_points) matrix of P(y=1 | theta, candidate).
+
+    A reward difference that overflows takes the logistic's limit: 1 or 0 by
+    the sign of ``|theta - x1| - |theta - x2|``, and 0.5 when they are equal.
+    """
     _require_form(form)
     x1 = candidates[:, 0][:, None]
     x2 = candidates[:, 1][:, None]
     th = points[None, :]
-    if form == ABSOLUTE_DISTANCE:
-        diff = np.abs(th - x1) - np.abs(th - x2)
-    else:
-        d1 = th - x1
-        d2 = th - x2
-        diff = d1 * d1 - d2 * d2
-    return expit(diff)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if form == ABSOLUTE_DISTANCE:
+            diff = np.abs(th - x1) - np.abs(th - x2)
+        else:
+            d1 = th - x1
+            d2 = th - x2
+            diff = d1 * d1 - d2 * d2
+    lik = expit(diff)
+    if not np.isfinite(diff).all():
+        # Halved coordinates cannot overflow, and rounding keeps the order of
+        # the two distances (or makes them equal).
+        overflow = ~np.isfinite(diff)
+        closer = np.abs(0.5 * th - 0.5 * x1) - np.abs(0.5 * th - 0.5 * x2)
+        lik[overflow] = 0.5 + 0.5 * np.sign(closer[overflow])
+    return lik
 
 
 def predictive_answer_prob(b: GridBelief, q: Query, form: str = ABSOLUTE_DISTANCE) -> float:
@@ -175,63 +184,6 @@ def expected_info_gain(b: GridBelief, q: Query, form: str = ABSOLUTE_DISTANCE) -
         with contextlib.suppress(ImpossibleEvidenceError):
             gain += p * info_gain(b, q, y, form)
     return gain
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _posterior_gain_map(m: np.ndarray, lik1: np.ndarray, lik0: np.ndarray,
-                        buf: np.ndarray) -> np.ndarray:
-    """(C,) expected information gain of the (1, K) belief ``m`` on every candidate.
-
-    ``lik1`` and ``lik0 = 1 - lik1`` are the (C, K) answer likelihoods and
-    ``buf`` a (C, K) work array.  The arithmetic mirrors the scalar path
-    (posterior normalization followed by entropy, answer 1 before answer 0),
-    so the two agree to float precision.
-    """
-    prior_h = -np.sum(xlogy(m, m), axis=-1)
-    terms = []
-    for lik in (lik1, lik0):
-        np.multiply(m, lik, out=buf)
-        p = np.sum(buf, axis=-1)
-        np.divide(buf, p[:, None], out=buf)
-        xlogy(buf, buf, out=buf)
-        h = -np.sum(buf, axis=-1)
-        # An answer with zero predictive probability adds its limit, 0.
-        terms.append(np.where(p > 0, p * (prior_h - h), 0.0))
-    return terms[0] + terms[1]
-
-
-def _log_normalizers(mass: np.ndarray, lik1: np.ndarray, lik0: np.ndarray,
-                     beta: float) -> np.ndarray:
-    """``log sum_c exp(beta * EIG_c)`` over the C candidates for each (B, K) mass row.
-
-    The softmax query policy's normalizer, on :func:`_posterior_gain_map` maps.
-    It serves exact mode only, whose bits decide the rounding ties pinned by
-    the benchmark reference, so its arithmetic stays frozen until that
-    reference is regenerated.  Rows are dealt round-robin to one thread per
-    CPU; each thread owns one (C, K) buffer and writes only its own rows.
-    Workers call only private functions: perfbench's tracer wraps the public
-    ones with one span stack, which a second thread would corrupt.
-    """
-    n = mass.shape[0]
-    out = np.empty(n)
-    workers = min(_cpu_count(), n)
-
-    def work(first: int) -> None:
-        buf = np.empty(lik1.shape)
-        # numpy's error state is per thread.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for r in range(first, n, workers):
-                out[r] = logsumexp(beta * _posterior_gain_map(mass[r:r + 1], lik1, lik0, buf))
-
-    with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(work, range(workers)))
-    return out
 
 
 def _binary_entropy(p: np.ndarray) -> np.ndarray:

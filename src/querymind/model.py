@@ -56,6 +56,17 @@ def _require_probabilities(values, n: int, name: str) -> np.ndarray:
     return p
 
 
+def _nearest_index(offset: float, step: float, n: int) -> int | None:
+    """Index of the nearest of ``n`` points ``step`` apart to a point ``offset``
+    past the first, or None when that is off the grid (an ``offset / step``
+    that overflows included)."""
+    pos = offset / step
+    if not math.isfinite(pos):
+        return None
+    idx = round(pos)
+    return idx if 0 <= idx < n else None
+
+
 def _require_form(form: str) -> None:
     if form not in REWARD_FORMS:
         raise InvalidInputError(f"unknown reward form {form!r}; expected one of {REWARD_FORMS}")
@@ -103,6 +114,8 @@ class ThetaGrid:
         _require_finite(lo=self.lo, hi=self.hi)
         if not self.lo < self.hi:
             raise InvalidInputError(f"grid needs lo < hi, got [{self.lo}, {self.hi}]")
+        if not math.isfinite(self.hi - self.lo):
+            raise InvalidInputError(f"grid span hi - lo overflows, got [{self.lo}, {self.hi}]")
         if self.n_points < 3:
             raise InvalidInputError(f"grid needs at least 3 points, got {self.n_points}")
 
@@ -117,8 +130,8 @@ class ThetaGrid:
     def index_of(self, theta: float) -> int:
         """Index of the grid cell containing ``theta`` (nearest point)."""
         _require_finite(theta=theta)
-        idx = int(round((theta - self.lo) / self.cell_width))
-        if idx < 0 or idx >= self.n_points:
+        idx = _nearest_index(theta - self.lo, self.cell_width, self.n_points)
+        if idx is None:
             raise InvalidInputError(f"theta {theta} outside grid [{self.lo}, {self.hi}]")
         return idx
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import querymind
-from querymind import agents, inference
+from querymind import agents
 from querymind.model import (
     MIN_SIGMA,
     REWARD_FORMS,
@@ -37,9 +37,10 @@ from querymind.agents import (
     _SEARCH_CHUNK,
     _dataset_likelihoods,
     _exact_log_normalizers,
+    _exact_objective,
     _l2_policy_matrix,
-    _objective_batch,
     _observer_posteriors,
+    _separable_summed_eig,
     bayes_factor,
     l2_query_policy,
     l2_select_query,
@@ -260,13 +261,14 @@ class TestMleBelief:
         mesh = np.meshgrid(cfg.mu1.values(), cfg.sigma1.values(), cfg.mu2.values(),
                            cfg.sigma2.values(), cfg.p_z.values(), indexing="ij")
         params = np.stack([m.ravel() for m in mesh], axis=1)
-        values = _objective_batch(params, lik1, points, False, 50.0, None, len(queries))
+        values = _separable_summed_eig(params, lik1, points)
         assert np.all(np.isfinite(values))
         cand = BeliefParams(-6.0, 0.01, 0.0, 0.01, 0.7)
         row = np.array([cand.astuple()])
         log_z = _exact_log_normalizers(row, TG, QG, SQUARED_DISTANCE, 50.0)
         for exact in (False, True):
-            got = _objective_batch(row, lik1, points, exact, 50.0, log_z, len(queries))[0]
+            got = (_exact_objective(row, lik1, points, 50.0, log_z, len(queries)) if exact
+                   else _separable_summed_eig(row, lik1, points))[0]
             want = mle_objective(queries, cand, QG, TG, SQUARED_DISTANCE, exact, 50.0)
             assert got == pytest.approx(want, abs=1e-9)
 
@@ -306,6 +308,16 @@ class TestMleBelief:
                       for bp in (want, self.SATURATION_TIE)]
             assert abs(scores[0] - scores[1]) <= 4 * np.spacing(scores[0])
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_overflowing_squared_difference_adds_no_gain(self, exact):
+        # Every grid theta is nearer 1e200 than 1e201, so the answer is
+        # certain and the query scores as a diagonal one; its likelihoods
+        # used to be NaN, and argmax picked them.
+        far, diagonal, near = Query(1e200, 1e201), Query(1.0, 1.0), Query(-4.0, 2.0)
+        est = [mle_belief([q, near], self.PIN_CFG, self.PIN_QG, self.PIN_TG, SQUARED_DISTANCE,
+                          exact, 50.0) for q in (far, diagonal)]
+        assert est[0] == est[1]
+
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, -1.0])
     @pytest.mark.parametrize("exact", [False, True])
     def test_invalid_rationality_rejected(self, beta, exact):
@@ -344,7 +356,8 @@ class TestMleBelief:
         queries = [Query(-4.0, 2.0), Query(2.0, -4.0)]
         lik1 = _dataset_likelihoods(queries, tg.points, "absolute_distance")
         log_z = _exact_log_normalizers(rows, tg, qg, "absolute_distance", 50.0)
-        got = _objective_batch(rows, lik1, tg.points, exact, 50.0, log_z, len(queries))
+        got = (_exact_objective(rows, lik1, tg.points, 50.0, log_z, len(queries)) if exact
+               else _separable_summed_eig(rows, lik1, tg.points))
         assert np.all(np.isfinite(got))
 
     @pytest.mark.parametrize("exact", [False, True])
@@ -385,7 +398,7 @@ class TestMleBelief:
 
 
 class TestSeparableSummedKernel:
-    """``_objective_batch(exact=False)`` against the scalar ``mle_objective``."""
+    """``_separable_summed_eig`` against the scalar ``mle_objective``."""
 
     # (6, 0), (5, -1) and (-6, 0) give some sigma = 0.01 rows an answer of zero
     # predictive probability under squared distance; (1, 1) is diagonal.
@@ -419,8 +432,7 @@ class TestSeparableSummedKernel:
         # One answer to some query has predictive probability exactly 0 under
         # these beliefs; the scalar path adds its limit, 0, like the kernel.
         lik1 = _dataset_likelihoods(self.QUERIES, TG.points, SQUARED_DISTANCE)
-        kernel = _objective_batch(np.array([row]), lik1, TG.points, False, 50.0, None,
-                                  len(self.QUERIES))[0]
+        kernel = _separable_summed_eig(np.array([row]), lik1, TG.points)[0]
         assert abs(self._oracle(row, SQUARED_DISTANCE) - kernel) <= 1e-9 * abs(kernel)
         assert math.isfinite(mle_objective(self.QUERIES, BeliefParams(*row), QG, TG,
                                            SQUARED_DISTANCE, exact=True))
@@ -429,7 +441,7 @@ class TestSeparableSummedKernel:
     def test_matches_scalar_objective(self, form):
         rows = self._rows(np.random.default_rng(61), 40)
         lik1 = _dataset_likelihoods(self.QUERIES, TG.points, form)
-        got = _objective_batch(rows, lik1, TG.points, False, 50.0, None, len(self.QUERIES))
+        got = _separable_summed_eig(rows, lik1, TG.points)
         assert got[0] == got[1]
         for value, row in zip(got, rows):
             want = self._oracle(row, form)
@@ -439,7 +451,7 @@ class TestSeparableSummedKernel:
         lik1 = _dataset_likelihoods([Query(1.0, 1.0), Query(-2.0, -2.0)], TG.points,
                                     "absolute_distance")
         rows = self._rows(np.random.default_rng(62), 20)
-        got = _objective_batch(rows, lik1, TG.points, False, 50.0, None, 2)
+        got = _separable_summed_eig(rows, lik1, TG.points)
         assert np.array_equal(got, np.zeros(rows.shape[0]))
 
     @pytest.mark.parametrize("queries", [QUERIES, [Query(1.0, 1.0)]])
@@ -449,7 +461,7 @@ class TestSeparableSummedKernel:
         rows = np.array([(200.0, 0.25, 300.0, 0.25, 0.5), (200.0, 0.25, 0.0, 1.0, 1.0),
                          (-2.0, 0.5, 3.0, 1.5, 0.3), (0.0, 1.0, 0.0, 1.0, 0.3)])
         lik1 = _dataset_likelihoods(queries, TG.points, "absolute_distance")
-        got = _objective_batch(rows, lik1, TG.points, False, 50.0, None, len(queries))
+        got = _separable_summed_eig(rows, lik1, TG.points)
         assert np.array_equal(got[:2], [-np.inf, -np.inf])
         assert np.all(np.isfinite(got[2:]))
         assert int(np.argmax(got)) >= 2
@@ -457,14 +469,14 @@ class TestSeparableSummedKernel:
     def test_chunks_do_not_change_values(self):
         rows = self._rows(np.random.default_rng(63), 2 * _SEARCH_CHUNK + 5)
         lik1 = _dataset_likelihoods(self.QUERIES, TG.points, SQUARED_DISTANCE)
-        whole = _objective_batch(rows, lik1, TG.points, False, 50.0, None, 6)
-        tail = _objective_batch(rows[-7:], lik1, TG.points, False, 50.0, None, 6)
+        whole = _separable_summed_eig(rows, lik1, TG.points)
+        tail = _separable_summed_eig(rows[-7:], lik1, TG.points)
         assert np.array_equal(whole[-7:], tail)
 
     def test_bytes_identical_across_blas_thread_counts(self):
         code = (
             "import hashlib, numpy as np, querymind as qm\n"
-            "from querymind.agents import _dataset_likelihoods, _objective_batch\n"
+            "from querymind.agents import _dataset_likelihoods, _separable_summed_eig\n"
             "tg = qm.ThetaGrid(-6.0, 6.0, 241)\n"
             "rng = np.random.default_rng(5)\n"
             "qs = [qm.Query(float(a), float(b)) for a, b in rng.uniform(-6, 6, (20, 2))]\n"
@@ -474,7 +486,7 @@ class TestSeparableSummedKernel:
             "h = hashlib.sha256()\n"
             "for form in qm.REWARD_FORMS:\n"
             "    lik1 = _dataset_likelihoods(qs, tg.points, form)\n"
-            "    h.update(_objective_batch(rows, lik1, tg.points, False, 50.0, None, 20)"
+            "    h.update(_separable_summed_eig(rows, lik1, tg.points)"
             ".tobytes())\n"
             "print(h.hexdigest())\n"
         )
@@ -497,7 +509,7 @@ class TestSeparableSummedKernel:
 
 
 class TestExactNormalizer:
-    """``_objective_batch(exact=True)`` pinned bit for bit at any thread count."""
+    """``_exact_objective`` pinned bit for bit at any thread count."""
 
     # sha256 of the (40,) objective bytes on the fig3 seed-0 queries; a
     # change to any bit of the exact arithmetic shows here.
@@ -511,7 +523,7 @@ class TestExactNormalizer:
     CODE = (
         "import hashlib, sys, numpy as np, querymind as qm\n"
         "from querymind.agents import _dataset_likelihoods, _exact_log_normalizers, "
-        "_objective_batch\n"
+        "_exact_objective\n"
         "from querymind.experiments import bimodal_config, sample_queries\n"
         "cfg = bimodal_config(0)\n"
         "qs = sample_queries(cfg, qm.discretize_belief(cfg.prior, cfg.theta_grid))\n"
@@ -520,8 +532,8 @@ class TestExactNormalizer:
         "for form in qm.REWARD_FORMS:\n"
         "    log_z = _exact_log_normalizers(rows, cfg.theta_grid, cfg.query_grid, form,\n"
         "                                   cfg.beta_a)\n"
-        "    got = _objective_batch(rows, _dataset_likelihoods(qs, points, form), points,\n"
-        "                           True, cfg.beta_a, log_z, len(qs))\n"
+        "    got = _exact_objective(rows, _dataset_likelihoods(qs, points, form), points,\n"
+        "                           cfg.beta_a, log_z, len(qs))\n"
         "    print(form, hashlib.sha256(got.tobytes()).hexdigest())\n"
     )
 
@@ -537,8 +549,8 @@ class TestExactNormalizer:
         points = cfg.theta_grid.points
         rows = self._rows()
         log_z = _exact_log_normalizers(rows, cfg.theta_grid, cfg.query_grid, form, cfg.beta_a)
-        return _objective_batch(rows, _dataset_likelihoods(queries, points, form),
-                                points, True, cfg.beta_a, log_z, len(queries))
+        return _exact_objective(rows, _dataset_likelihoods(queries, points, form),
+                                points, cfg.beta_a, log_z, len(queries))
 
     @pytest.mark.parametrize("form", REWARD_FORMS)
     def test_bytes_are_pinned(self, form):
@@ -554,7 +566,7 @@ class TestExactNormalizer:
         # More workers than cores and frequent thread switches: a row left
         # unwritten, or computed in a buffer another worker shares, would
         # change the digest.
-        monkeypatch.setattr(inference, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(agents, "_cpu_count", lambda: workers)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -603,7 +615,7 @@ class TestCoarseNormalizerCache:
     def _recorded_search(self, queries, form, monkeypatch):
         """The estimate and the bytes of every pass's objective values."""
         passes = []
-        real = agents._objective_batch
+        real = agents._exact_objective
 
         def record(*args, **kwargs):
             out = real(*args, **kwargs)
@@ -611,7 +623,7 @@ class TestCoarseNormalizerCache:
             return out
 
         with monkeypatch.context() as m:
-            m.setattr(agents, "_objective_batch", record)
+            m.setattr(agents, "_exact_objective", record)
             est = self._search(queries, form)
         return est.astuple(), passes
 
@@ -631,21 +643,21 @@ class TestCoarseNormalizerCache:
         points = self.TG.points
         ranges = (self.CFG.mu1, self.CFG.mu2, self.CFG.sigma1, self.CFG.sigma2, self.CFG.p_z)
         params = agents._search_rows(agents._coarse_axes(ranges))[1]
-        want = _objective_batch(params, _dataset_likelihoods(self.DATA_B, points, form),
-                                points, True, 50.0,
+        want = _exact_objective(params, _dataset_likelihoods(self.DATA_B, points, form),
+                                points, 50.0,
                                 _exact_log_normalizers(params, self.TG, self.QG, form, 50.0),
                                 len(self.DATA_B))
         assert cold[1][0] == want.tobytes()
 
     def test_second_dataset_normalizes_only_refinement_rows(self, monkeypatch):
         rows = []
-        real = agents._log_normalizers
+        real = agents._exact_log_normalizers
 
-        def count(mass, *args):
-            rows.append(mass.shape[0])
-            return real(mass, *args)
+        def count(params, *args):
+            rows.append(params.shape[0])
+            return real(params, *args)
 
-        monkeypatch.setattr(agents, "_log_normalizers", count)
+        monkeypatch.setattr(agents, "_exact_log_normalizers", count)
         self._search(self.DATA_A)
         assert sum(rows) == self.ROWS_PER_PASS * (1 + self.CFG.n_refine_iters)
         rows.clear()

@@ -81,6 +81,21 @@ class TestExitCodes:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("lines, error", [
+        ("grid.theta_lo = -1e308\ngrid.theta_hi = 1e308\n", "grid span"),
+        ("grid.query_lo = -1e308\ngrid.query_hi = 1e308\n", "query grid span"),
+    ], ids=["theta", "query"])
+    def test_overflowing_grid_span_is_runtime_error(self, lines, error, tmp_path, capsys):
+        # hi - lo overflowed, so every grid point was NaN and a later check
+        # failed on a symptom instead.
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(FAST_CFG + lines)
+        out = tmp_path / "out"
+        assert main(["eig-map", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {error} hi - lo overflows, got [-1e+308, 1e+308]\n")
+        assert not out.exists()
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
@@ -148,6 +163,15 @@ class TestTeachAndLoop:
         lines = (out / "trace.csv").read_text().splitlines()
         assert lines[0] == "round,x1,x2,y,entropy"
         assert len(lines) == 5
+
+    def test_teach_overflowing_theta_true_is_runtime_error(self, tmp_path, capsys):
+        # Locating theta_true on the grid used to raise OverflowError.
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(FAST_CFG + "run.theta_true = 1e308\n")
+        out = tmp_path / "teach"
+        assert main(["teach", "uniform", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: theta 1e+308 outside grid [-6.0, 6.0]\n")
+        assert list(out.iterdir()) == []
 
     def test_loop_rejects_bad_levels(self, tmp_path, fast_config):
         code = main(["loop", "--teacher", "4", "--out", str(tmp_path / "x"),
@@ -239,6 +263,30 @@ class TestEstimateAndIntent:
     def test_intent_bf_non_finite_query_names_the_coordinate(self, query, problem, capsys):
         assert main(["intent-bf", f"--query={query}"]) == 2
         assert capsys.readouterr().err == f"error: {problem}\n"
+
+    def test_intent_bf_overflowing_query_is_runtime_error(self, capsys):
+        # Locating the query on the grid used to raise OverflowError.
+        assert main(["intent-bf", "--query=1e308,2"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: query Query(x1=1e+308, x2=2.0) outside grid\n")
+
+    @pytest.mark.parametrize("exact", [[], ["--exact-likelihood"]])
+    def test_estimate_belief_overflowing_squared_difference_scores_as_diagonal(
+            self, exact, tmp_path, capsys):
+        # Every theta on the grid is nearer 1e200 than 1e201, so that query's
+        # answer is certain and it adds no gain, as a diagonal query does; its
+        # likelihoods used to be NaN, and the summed search printed row 0.
+        cfg = tmp_path / "sq.cfg"
+        cfg.write_text(FAST_CFG + "agent.reward_form = squared_distance\n")
+        printed = []
+        for first in ("1e200,1e201", "1,1"):
+            qcsv = tmp_path / "qs.csv"
+            qcsv.write_text(f"x1,x2\n{first}\n-4,2\n")
+            assert main(["estimate-belief", "--queries", str(qcsv), "--config", str(cfg)]
+                        + exact) == 0
+            printed.append(capsys.readouterr())
+        assert printed[0] == printed[1]
+        assert printed[0].err == ""
 
     def test_intent_bf_underflowed_level4_marginal_is_runtime_error(self, tmp_path, capsys):
         # Every policy underflows to 0 on most candidates at this rationality.

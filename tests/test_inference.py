@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import querymind
 from querymind.agents import l2_query_policy
@@ -28,6 +29,7 @@ from querymind.inference import (
     entropy,
     expected_info_gain,
     info_gain,
+    likelihood_matrix,
     posterior_update,
     predictive_answer_prob,
     sample_index,
@@ -346,6 +348,54 @@ class TestQueryGrid:
         qg = QueryGrid(-6.0, 6.0, 49)
         with pytest.raises(InvalidInputError):
             qg.index_of(Query(0.1, 0.0))
+
+    @pytest.mark.parametrize("q", [Query(1e308, 2.0), Query(2.0, -1e308)])
+    def test_overflowing_query_is_outside_grid(self, q):
+        # (x - feature_lo) / step overflows to inf; rounding it used to raise
+        # OverflowError.
+        with pytest.raises(InvalidInputError, match="outside grid"):
+            QueryGrid(-6.0, 6.0, 49).index_of(q)
+
+    def test_rejects_overflowing_span(self):
+        with pytest.raises(InvalidInputError, match="query grid span hi - lo overflows"):
+            QueryGrid(-1e308, 1e308, 49)
+        assert np.all(np.isfinite(QueryGrid(-8e307, 8e307, 49).candidates))
+
+
+class TestLikelihoodMatrix:
+    POINTS = np.linspace(-6.0, 6.0, 25)
+    FINITE = np.array([[-4.0, 2.0], [2.0, -4.0], [0.5, 0.5], [-6.0, 6.0]])
+
+    @pytest.mark.parametrize("form", REWARD_FORMS)
+    def test_overflowing_difference_takes_the_logistic_limit(self, form):
+        # Squared distances overflow beyond about 1.3e154 and absolute ones
+        # beyond 1.8e308; inf - inf used to give NaN likelihoods (and a
+        # RuntimeWarning, an error under pytest).
+        cands = np.array([[1e200, 1e201], [1e201, 1e200], [1e200, 1e200],
+                          [-1e308, 1e308], [1e308, 1e308], [1e308, -4.0]])
+        got = likelihood_matrix(self.POINTS, cands, form)
+        want = np.array([0.0, 1.0, 0.5, 0.5, 0.5, 1.0])[:, None]
+        assert np.array_equal(got, np.broadcast_to(want, got.shape))
+
+    def test_overflowing_distance_takes_the_logistic_limit(self):
+        # theta - x itself overflows: theta = 1e308 is nearer x2 = 1e308 than
+        # x1 = -1e308, theta = -1e308 the reverse; a diagonal pair gives 0.5.
+        points = np.array([1e308, -1e308])
+        cands = np.array([[-1e308, 1e308], [1e308, -1e308], [-1e308, -1e308]])
+        for form in REWARD_FORMS:
+            got = likelihood_matrix(points, cands, form)
+            assert np.array_equal(got, [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("form", REWARD_FORMS)
+    def test_finite_differences_keep_their_bits(self, form):
+        cands = np.vstack([self.FINITE, [[1e200, 1e201], [-1e308, 1e308]]])
+        got = likelihood_matrix(self.POINTS, cands, form)
+        alone = likelihood_matrix(self.POINTS, self.FINITE, form)
+        assert got[:4].tobytes() == alone.tobytes()
+        d1 = self.POINTS[None, :] - self.FINITE[:, [0]]
+        d2 = self.POINTS[None, :] - self.FINITE[:, [1]]
+        diff = np.abs(d1) - np.abs(d2) if form == ABSOLUTE_DISTANCE else d1 * d1 - d2 * d2
+        assert alone.tobytes() == expit(diff).tobytes()
 
 
 class TestQueryPolicy:

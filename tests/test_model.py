@@ -256,6 +256,20 @@ class TestGridTypes:
         with pytest.raises(InvalidInputError):
             default_grid.index_of(7.0)
 
+    @pytest.mark.parametrize("theta", [1e308, -1e308])
+    def test_index_of_overflowing_offset_is_outside_grid(self, default_grid, theta):
+        # (theta - lo) / cell_width overflows to inf; rounding it used to
+        # raise OverflowError.
+        with pytest.raises(InvalidInputError, match="outside grid"):
+            default_grid.index_of(theta)
+
+    def test_theta_grid_rejects_overflowing_span(self):
+        # hi - lo overflows, which made every grid point NaN.
+        with pytest.raises(InvalidInputError, match="grid span hi - lo overflows"):
+            ThetaGrid(-1e308, 1e308, 241)
+        grid = ThetaGrid(-8e307, 8e307, 241)
+        assert np.all(np.isfinite(grid.points))
+
     def test_grid_belief_rejects_bad_mass(self, default_grid):
         bad = np.full(default_grid.n_points, 1.0 / default_grid.n_points)
         bad[0] = -bad[0]
