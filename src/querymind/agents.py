@@ -54,9 +54,9 @@ from .inference import (
 
 # Batch size for vectorized search over candidate mixtures; bounds peak
 # memory at roughly batch * n_grid_points * 8 bytes per temporary in the
-# exact data term and batch * n_queries * 8 bytes in the summed kernel.  The
-# exact normalizer goes one row at a time, with one (C, K) buffer per worker
-# beside the candidate grid's ``L`` and ``1 - L`` (:func:`_exact_log_normalizers`).
+# exact data term and batch * n_queries * 8 bytes in a summed block of whole
+# (mu1, mu2) pairs.  The exact normalizer goes one row at a time, with one (C, K)
+# buffer per worker beside the grid's ``L`` and ``1 - L`` (:func:`_exact_log_normalizers`).
 _SEARCH_CHUNK = 1024
 
 # Search coordinates are (mu1, mu2, log s1, log s2, p_z): the sigma axes of
@@ -161,73 +161,59 @@ def l2_select_query(policy: QueryPolicy, mode: str = "sample",
     return policy.grid.query_at(idx)
 
 
-def _sorted_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(values, return_inverse=True)`` without its argsort: the
-    distinct values come from a sort, and each entry's index from a binary
-    search among them."""
-    distinct = np.unique(values)
-    return distinct, np.searchsorted(distinct, values)
-
-
-def _separable_summed_eig(params: np.ndarray, lik1: np.ndarray,
-                          points: np.ndarray) -> np.ndarray:
-    """Summed dual-form gain ``sum_q [H_b(m . L_q) - m . H_b(L_q)]`` per row.
-
-    The summed-mode score of each (mu1, s1, mu2, s2, p_z) row; ``lik1`` is
-    (N, K) over the non-diagonal dataset queries (diagonals add zero gain).
-    Each component density is floored at ``DENSITY_FLOOR`` on its own before
-    it is mixed, and a row with no representable grid mass scores -inf.
-    Every row is ``p * phi_a + (1 - p) * phi_b`` over its two components, so
-    the grid-sized products are taken once per distinct ``(mu, sigma)``:
-    ``S_u = sum phi_u``, ``A[u, q] = phi_u . L_q``, ``B[u, q] = phi_u . H_b(L_q)``.
-    A row then needs only ``Z = p S_a + (1 - p) S_b`` and its two mixes of
-    ``A`` and ``B``, divided by ``Z``.
+def _summed_objective(axes: Sequence[np.ndarray], lik1: np.ndarray,
+                      points: np.ndarray) -> np.ndarray:
+    """Summed dual-form gain ``sum_q [H_b(m . L_q) - m . H_b(L_q)]`` of one
+    search pass: an (I, J, K, L, M) array over the product grid of the axes
+    ``(mu1, mu2, sigma1, sigma2, p_z)``, in sigma units, whose row-major ravel
+    is the row order of :func:`_search_rows`.  ``lik1`` is (N, K) over the
+    non-diagonal dataset queries (diagonals add zero gain).  Each component
+    density is floored at ``DENSITY_FLOOR`` before it is mixed, and a row with
+    no representable grid mass scores -inf.  A row mixes ``p * phi_a +
+    (1 - p) * phi_b``, so ``S = sum phi``, ``A[q] = phi . L_q`` and
+    ``B[q] = phi . H_b(L_q)`` are taken once per component; a row needs only
+    ``Z = p S_a + (1 - p) S_b`` and its mixes of ``A`` and ``B`` over ``Z``,
+    broadcast over blocks of whole (mu1, mu2) pairs, ``_SEARCH_CHUNK`` rows or so.
     """
-    n = params.shape[0]
-    mu_vals, mu_idx = _sorted_codes(np.concatenate([params[:, 0], params[:, 2]]))
-    s_vals, s_idx = _sorted_codes(np.concatenate([params[:, 1], params[:, 3]]))
-    # Number the (mu, sigma) pairs present in ascending key order through a
-    # dense presence table; the table has one entry per pair of distinct
-    # values, which a search grid keeps small.
-    key = mu_idx * s_vals.size + s_idx
-    present = np.zeros(mu_vals.size * s_vals.size, dtype=bool)
-    present[key] = True
-    keys = np.flatnonzero(present)
-    comp = (np.cumsum(present) - 1)[key]
-    mu = mu_vals[keys // s_vals.size][:, None]
-    sigma = s_vals[keys % s_vals.size][:, None]
-    phi = _normal_density(points[None, :], mu, sigma)
-    phi = np.where(phi < DENSITY_FLOOR, 0.0, phi)
-    s = np.einsum("uk->u", phi)
-    a = np.einsum("uk,nk->un", phi, lik1)
-    b = np.einsum("uk,nk->un", phi, _binary_entropy(lik1))
-    comp_a, comp_b = comp[:n], comp[n:]
-    out = np.empty(n)
-    for start in range(0, n, _SEARCH_CHUNK):
-        rows = slice(start, start + _SEARCH_CHUNK)
-        ca, cb = comp_a[rows], comp_b[rows]
-        p = params[rows, 4]
-        norm = p * s[ca] + (1.0 - p) * s[cb]
+    mu1, mu2, s1, s2, p = axes
+    n = lik1.shape[0]
+    h_lik = _binary_entropy(lik1)
+
+    def terms(mu: np.ndarray, sigma: np.ndarray, shape: tuple) -> tuple[np.ndarray, ...]:
+        # S, A and B per component, on the axes (pair, sigma1, sigma2, p_z, query).
+        phi = _normal_density(points[None, :], np.repeat(mu, sigma.size)[:, None],
+                              np.tile(sigma, mu.size)[:, None])
+        phi = np.where(phi < DENSITY_FLOOR, 0.0, phi)
+        return (np.einsum("uk->u", phi).reshape(shape),
+                np.einsum("uk,nk->un", phi, lik1).reshape(shape + (n,)),
+                np.einsum("uk,nk->un", phi, h_lik).reshape(shape + (n,)))
+
+    s_a, a_a, b_a = terms(mu1, s1, (mu1.size, s1.size, 1, 1))
+    s_b, a_b, b_b = terms(mu2, s2, (mu2.size, 1, s2.size, 1))
+    q = 1.0 - p
+    n_pairs = mu1.size * mu2.size
+    step = max(1, _SEARCH_CHUNK // (s1.size * s2.size * p.size))
+    out = []
+    for start in range(0, n_pairs, step):
+        i, j = np.divmod(np.arange(start, min(start + step, n_pairs)), mu2.size)
+        norm = p * s_a[i] + q * s_b[j]
         empty = norm <= 0.0
-        norm = np.where(empty, 1.0, norm)[:, None]
-        p, q = p[:, None], 1.0 - p[:, None]
-        p1 = (p * a[ca] + q * a[cb]) / norm
-        h = (p * b[ca] + q * b[cb]) / norm
-        total = np.einsum("bn->b", _binary_entropy(p1) - h)
-        total[empty] = -np.inf
-        out[rows] = total
-    return out
+        norm = np.where(empty, 1.0, norm)[..., None]
+        p1 = (p[:, None] * a_a[i] + q[:, None] * a_b[j]) / norm
+        h = (p[:, None] * b_a[i] + q[:, None] * b_b[j]) / norm
+        total = np.einsum("bn->b", (_binary_entropy(p1) - h).reshape(empty.size, n))
+        total[empty.ravel()] = -np.inf
+        out.append(total)
+    return np.concatenate(out).reshape(mu1.size, mu2.size, s1.size, s2.size, p.size)
 
 
-def _search_rows(axes: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The grid over five search axes, enumerated row-major: its (B, 5) search
-    coordinates and the (B, 5) (mu1, s1, mu2, s2, p_z) rows, in sigma units,
-    that the objective kernels score."""
+def _search_rows(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """The (B, 5) (mu1, s1, mu2, s2, p_z) rows, in sigma units, of the grid
+    over five search axes, enumerated row-major; exact mode scores them."""
     mesh = np.meshgrid(*axes, indexing="ij")
     cand = np.stack([m.ravel() for m in mesh], axis=1)
-    params = np.column_stack([cand[:, 0], np.exp(cand[:, 2]),
-                              cand[:, 1], np.exp(cand[:, 3]), cand[:, 4]])
-    return cand, params
+    return np.column_stack([cand[:, 0], np.exp(cand[:, 2]),
+                            cand[:, 1], np.exp(cand[:, 3]), cand[:, 4]])
 
 
 def _coarse_axes(ranges: Sequence[ParamRange]) -> list[np.ndarray]:
@@ -362,8 +348,7 @@ def _coarse_log_normalizers(ranges: tuple[ParamRange, ...], grid: ThetaGrid, qg:
     observed queries, so every dataset searched on one coarse grid shares
     this array.  Built lazily, once per key.
     """
-    log_z = _exact_log_normalizers(_search_rows(_coarse_axes(ranges))[1], grid, qg, form,
-                                   beta_a)
+    log_z = _exact_log_normalizers(_search_rows(_coarse_axes(ranges)), grid, qg, form, beta_a)
     log_z.flags.writeable = False
     return log_z
 
@@ -435,8 +420,9 @@ def mle_belief(queries: Sequence[Query], cfg: MleSearchConfig, qg: QueryGrid,
     enumeration index.  If every candidate scores -inf (none has mass on
     ``grid``), it raises :class:`DegenerateBeliefError` naming the ranges.
 
-    The summed score of a pass is :func:`_separable_summed_eig`; the exact
-    one is :func:`_exact_objective`.  In exact mode the coarse pass takes its
+    A pass scores its axes with :func:`_summed_objective`, or the rows of
+    :func:`_search_rows` with :func:`_exact_objective`, and reads the best
+    row's coordinates from the axes.  In exact mode the coarse pass takes its
     normalizers from :func:`_coarse_log_normalizers`, computed once per
     process for each coarse grid, theta grid, query grid, reward form and
     ``beta_a``; each refinement pass, whose window follows the data, computes
@@ -456,22 +442,24 @@ def mle_belief(queries: Sequence[Query], cfg: MleSearchConfig, qg: QueryGrid,
               for r, log in zip(ranges, _LOG_SCALED)]
     widths = [hi - lo for lo, hi in bounds]
 
-    best_params: np.ndarray | None = None
+    best_params: list[float] | None = None
     best_value = -np.inf
     for n_pass in range(1 + cfg.n_refine_iters):
-        cand, params = _search_rows(axes)
         if not exact:
-            values = _separable_summed_eig(params, lik1, points)
+            values = _summed_objective([np.exp(ax) if log else ax
+                                        for ax, log in zip(axes, _LOG_SCALED)], lik1, points)
         else:
+            params = _search_rows(axes)
             # Refinement windows follow the data, so only the coarse pass's
             # normalizers are cached.
             log_z = (_coarse_log_normalizers(ranges, grid, qg, form, float(beta_a))
                      if n_pass == 0 else _exact_log_normalizers(params, grid, qg, form, beta_a))
             values = _exact_objective(params, lik1, points, beta_a, log_z, len(queries))
         i = int(np.argmax(values))
-        if best_params is None or values[i] > best_value:
-            best_value = float(values[i])
-            best_params = cand[i].copy()
+        if best_params is None or values.flat[i] > best_value:
+            best_value = float(values.flat[i])
+            index = np.unravel_index(i, [ax.size for ax in axes])
+            best_params = [ax[k] for ax, k in zip(axes, index)]
         widths = [w * cfg.refine_shrink for w in widths]
         axes = [np.linspace(*_clip_window(c, w, *b), r.count) if r.count > 1 else np.array([c])
                 for r, w, b, c in zip(ranges, widths, bounds, best_params)]

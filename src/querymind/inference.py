@@ -29,6 +29,7 @@ from .model import (
     InvalidInputError,
     Query,
     ThetaGrid,
+    _gap_limit,
     _nearest_index,
     _require_finite,
     _require_form,
@@ -79,7 +80,7 @@ class QueryGrid:
         return np.column_stack([np.repeat(ax, self.n_per_axis), np.tile(ax, self.n_per_axis)])
 
     def query_at(self, index: int) -> Query:
-        x1, x2 = self.candidates[index]
+        x1, x2 = self.axis[list(divmod(index, self.n_per_axis))]
         return Query(float(x1), float(x2))
 
     def index_of(self, q: Query, atol: float = 1e-9) -> int:
@@ -131,11 +132,8 @@ def likelihood_matrix(points: np.ndarray, candidates: np.ndarray,
             diff = d1 * d1 - d2 * d2
     lik = expit(diff)
     if not np.isfinite(diff).all():
-        # Halved coordinates cannot overflow, and rounding keeps the order of
-        # the two distances (or makes them equal).
         overflow = ~np.isfinite(diff)
-        closer = np.abs(0.5 * th - 0.5 * x1) - np.abs(0.5 * th - 0.5 * x2)
-        lik[overflow] = 0.5 + 0.5 * np.sign(closer[overflow])
+        lik[overflow] = _gap_limit(th, x1, x2)[overflow]
     return lik
 
 

@@ -181,12 +181,24 @@ class GridBelief:
 
 
 def reward(theta: float, x: float, form: str = ABSOLUTE_DISTANCE) -> float:
-    """Distance-based reward of item ``x`` under ideal point ``theta`` (<= 0)."""
+    """Distance-based reward of item ``x`` under ideal point ``theta`` (<= 0);
+    a squared distance that overflows gives its limit, -inf."""
     _require_finite(theta=theta, x=x)
     _require_form(form)
     if form == ABSOLUTE_DISTANCE:
         return -abs(x - theta)
-    return -((x - theta) ** 2)
+    try:
+        return -((x - theta) ** 2)
+    except OverflowError:
+        return -math.inf
+
+
+def _gap_limit(theta, x1, x2):
+    """The logistic's limit for a reward gap that overflows: 1 or 0 by the sign
+    of ``|theta - x1| - |theta - x2|``, 0.5 when equal; broadcasts.  Halved
+    coordinates cannot overflow, and rounding keeps the order of the two
+    distances (or makes them equal)."""
+    return 0.5 + 0.5 * np.sign(np.abs(0.5 * theta - 0.5 * x1) - np.abs(0.5 * theta - 0.5 * x2))
 
 
 def _sigmoid(d: float) -> float:
@@ -197,8 +209,10 @@ def _sigmoid(d: float) -> float:
 
 
 def response_prob(theta: float, q: Query, form: str = ABSOLUTE_DISTANCE) -> float:
-    """Probability of answering ``y = 1`` (prefer ``x2``) given ``theta``."""
-    return _sigmoid(reward(theta, q.x2, form) - reward(theta, q.x1, form))
+    """Probability of answering ``y = 1`` (prefer ``x2``) given ``theta``; a
+    reward gap that overflows takes its limit, :func:`_gap_limit`."""
+    gap = reward(theta, q.x2, form) - reward(theta, q.x1, form)
+    return _sigmoid(gap) if math.isfinite(gap) else float(_gap_limit(theta, q.x1, q.x2))
 
 
 def sample_answer(theta: float, q: Query, form: str, rng: np.random.Generator) -> int:

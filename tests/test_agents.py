@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -40,7 +41,7 @@ from querymind.agents import (
     _exact_objective,
     _l2_policy_matrix,
     _observer_posteriors,
-    _separable_summed_eig,
+    _summed_objective,
     bayes_factor,
     l2_query_policy,
     l2_select_query,
@@ -62,6 +63,12 @@ TG = ThetaGrid(-6.0, 6.0, 241)
 QG = QueryGrid(-6.0, 6.0, 49)
 DOMINANT_LEFT = BeliefParams(-3.0, 1.0, 3.0, 1.0, 0.9)
 DOMINANT_RIGHT = BeliefParams(-3.0, 1.0, 3.0, 1.0, 0.1)
+
+
+def _summed_rows(rows, lik1, points):
+    """``_summed_objective`` of each (mu1, s1, mu2, s2, p_z) row, scored as a one-point grid."""
+    return np.array([_summed_objective([row[[c]] for c in (0, 2, 1, 3, 4)], lik1, points).item()
+                     for row in rows])
 
 
 def two_particle_ensemble():
@@ -258,17 +265,15 @@ class TestMleBelief:
                               sigma2=ParamRange(0.01, 2.0, 4))
         points = TG.points
         lik1 = _dataset_likelihoods(queries, points, SQUARED_DISTANCE)
-        mesh = np.meshgrid(cfg.mu1.values(), cfg.sigma1.values(), cfg.mu2.values(),
-                           cfg.sigma2.values(), cfg.p_z.values(), indexing="ij")
-        params = np.stack([m.ravel() for m in mesh], axis=1)
-        values = _separable_summed_eig(params, lik1, points)
+        axes = [r.values() for r in (cfg.mu1, cfg.mu2, cfg.sigma1, cfg.sigma2, cfg.p_z)]
+        values = _summed_objective(axes, lik1, points)
         assert np.all(np.isfinite(values))
         cand = BeliefParams(-6.0, 0.01, 0.0, 0.01, 0.7)
         row = np.array([cand.astuple()])
         log_z = _exact_log_normalizers(row, TG, QG, SQUARED_DISTANCE, 50.0)
         for exact in (False, True):
             got = (_exact_objective(row, lik1, points, 50.0, log_z, len(queries)) if exact
-                   else _separable_summed_eig(row, lik1, points))[0]
+                   else _summed_rows(row, lik1, points))[0]
             want = mle_objective(queries, cand, QG, TG, SQUARED_DISTANCE, exact, 50.0)
             assert got == pytest.approx(want, abs=1e-9)
 
@@ -357,7 +362,7 @@ class TestMleBelief:
         lik1 = _dataset_likelihoods(queries, tg.points, "absolute_distance")
         log_z = _exact_log_normalizers(rows, tg, qg, "absolute_distance", 50.0)
         got = (_exact_objective(rows, lik1, tg.points, 50.0, log_z, len(queries)) if exact
-               else _separable_summed_eig(rows, lik1, tg.points))
+               else _summed_rows(rows, lik1, tg.points))
         assert np.all(np.isfinite(got))
 
     @pytest.mark.parametrize("exact", [False, True])
@@ -398,7 +403,8 @@ class TestMleBelief:
 
 
 class TestSeparableSummedKernel:
-    """``_separable_summed_eig`` against the scalar ``mle_objective``."""
+    """``_summed_objective`` against the scalar ``mle_objective``, and pinned bit
+    for bit; arbitrary rows are scored as one-point grids."""
 
     # (6, 0), (5, -1) and (-6, 0) give some sigma = 0.01 rows an answer of zero
     # predictive probability under squared distance; (1, 1) is diagonal.
@@ -432,7 +438,7 @@ class TestSeparableSummedKernel:
         # One answer to some query has predictive probability exactly 0 under
         # these beliefs; the scalar path adds its limit, 0, like the kernel.
         lik1 = _dataset_likelihoods(self.QUERIES, TG.points, SQUARED_DISTANCE)
-        kernel = _separable_summed_eig(np.array([row]), lik1, TG.points)[0]
+        kernel = _summed_rows(np.array([row]), lik1, TG.points)[0]
         assert abs(self._oracle(row, SQUARED_DISTANCE) - kernel) <= 1e-9 * abs(kernel)
         assert math.isfinite(mle_objective(self.QUERIES, BeliefParams(*row), QG, TG,
                                            SQUARED_DISTANCE, exact=True))
@@ -441,7 +447,7 @@ class TestSeparableSummedKernel:
     def test_matches_scalar_objective(self, form):
         rows = self._rows(np.random.default_rng(61), 40)
         lik1 = _dataset_likelihoods(self.QUERIES, TG.points, form)
-        got = _separable_summed_eig(rows, lik1, TG.points)
+        got = _summed_rows(rows, lik1, TG.points)
         assert got[0] == got[1]
         for value, row in zip(got, rows):
             want = self._oracle(row, form)
@@ -451,7 +457,7 @@ class TestSeparableSummedKernel:
         lik1 = _dataset_likelihoods([Query(1.0, 1.0), Query(-2.0, -2.0)], TG.points,
                                     "absolute_distance")
         rows = self._rows(np.random.default_rng(62), 20)
-        got = _separable_summed_eig(rows, lik1, TG.points)
+        got = _summed_rows(rows, lik1, TG.points)
         assert np.array_equal(got, np.zeros(rows.shape[0]))
 
     @pytest.mark.parametrize("queries", [QUERIES, [Query(1.0, 1.0)]])
@@ -461,44 +467,56 @@ class TestSeparableSummedKernel:
         rows = np.array([(200.0, 0.25, 300.0, 0.25, 0.5), (200.0, 0.25, 0.0, 1.0, 1.0),
                          (-2.0, 0.5, 3.0, 1.5, 0.3), (0.0, 1.0, 0.0, 1.0, 0.3)])
         lik1 = _dataset_likelihoods(queries, TG.points, "absolute_distance")
-        got = _separable_summed_eig(rows, lik1, TG.points)
+        got = _summed_rows(rows, lik1, TG.points)
         assert np.array_equal(got[:2], [-np.inf, -np.inf])
         assert np.all(np.isfinite(got[2:]))
         assert int(np.argmax(got)) >= 2
 
-    def test_chunks_do_not_change_values(self):
-        rows = self._rows(np.random.default_rng(63), 2 * _SEARCH_CHUNK + 5)
+    @pytest.mark.parametrize("counts", [(4, 5, 3, 3, 20), (2, 2, 6, 6, 30)],
+                             ids=["pairs-per-block", "rows-per-pair"])
+    def test_blocks_do_not_change_values(self, counts):
+        # More than 2 * _SEARCH_CHUNK rows: several (mu1, mu2) pairs a block,
+        # or one pair of more than _SEARCH_CHUNK rows a block.
+        rng = np.random.default_rng(63)
+        axes = [np.sort(rng.uniform(lo, hi, n)) for (lo, hi), n in
+                zip([(-6.0, 0.0), (0.0, 6.0), (0.01, 3.0), (0.01, 3.0), (0.0, 1.0)], counts)]
+        assert math.prod(counts) > 2 * _SEARCH_CHUNK
         lik1 = _dataset_likelihoods(self.QUERIES, TG.points, SQUARED_DISTANCE)
-        whole = _separable_summed_eig(rows, lik1, TG.points)
-        tail = _separable_summed_eig(rows[-7:], lik1, TG.points)
-        assert np.array_equal(whole[-7:], tail)
+        whole = _summed_objective(axes, lik1, TG.points)
+        for i in range(counts[0]):
+            for j in range(counts[1]):
+                alone = _summed_objective([axes[0][[i]], axes[1][[j]]] + axes[2:], lik1, TG.points)
+                assert whole[i:i + 1, j:j + 1].tobytes() == alone.tobytes()
+        half = _summed_objective(axes[:4] + [axes[4][1::2]], lik1, TG.points)
+        assert whole[..., 1::2].tobytes() == half.tobytes()
+
+    # sha256 of the objective bytes of _summed_digests' grids, computed with
+    # the row-by-row kernel that _summed_objective replaced.
+    DIGESTS = {
+        "fig2-absolute_distance":
+            "a3050fdf7339e0462f5a4bfbd80bc1070c0a5afdb8d9191608243f1b738d43b7",
+        "fig2-squared_distance":
+            "7f697416b9cd50b4cdd3665306d8c2e72825e39fb60c7af76560dac4ed78d7ac",
+        "fig3-absolute_distance":
+            "1b9707be272e5c8ff3083aa7a331b5915314324c8e3c3fe398298571676a9bfb",
+        "fig3-squared_distance":
+            "83a1fb4d8442bf2af51dbfc879258932d522fa75d339116301572abb63c742f4",
+        "diagonal": "26fc43b33daf0ab1ba978d8326fe61807118a73b6acb326b3d203019239b0227",
+        "unrepresentable": "90b1edebb5e624dacc10b2add612001d9e10eca78f0a9a2d0651cd41f45c44c8",
+    }
 
     def test_bytes_identical_across_blas_thread_counts(self):
-        code = (
-            "import hashlib, numpy as np, querymind as qm\n"
-            "from querymind.agents import _dataset_likelihoods, _separable_summed_eig\n"
-            "tg = qm.ThetaGrid(-6.0, 6.0, 241)\n"
-            "rng = np.random.default_rng(5)\n"
-            "qs = [qm.Query(float(a), float(b)) for a, b in rng.uniform(-6, 6, (20, 2))]\n"
-            "rows = np.column_stack([rng.uniform(-6, 0, 3000), rng.uniform(0.2, 2, 3000),\n"
-            "                        rng.uniform(0, 6, 3000), rng.uniform(0.2, 2, 3000),\n"
-            "                        rng.uniform(0, 1, 3000)])\n"
-            "h = hashlib.sha256()\n"
-            "for form in qm.REWARD_FORMS:\n"
-            "    lik1 = _dataset_likelihoods(qs, tg.points, form)\n"
-            "    h.update(_separable_summed_eig(rows, lik1, tg.points)"
-            ".tobytes())\n"
-            "print(h.hexdigest())\n"
-        )
+        code = ("import json, sys\n"
+                f"sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})\n"
+                "from test_agents import _summed_digests\n"
+                "print(json.dumps(_summed_digests()))\n")
         src = os.path.dirname(os.path.dirname(os.path.abspath(querymind.__file__)))
-        digests = set()
         for threads in ("1", "2"):
             env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
                        OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
             done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                   capture_output=True, text=True)
-            digests.add(done.stdout.strip())
-        assert len(digests) == 1
+            assert json.loads(done.stdout) == self.DIGESTS
 
     @pytest.mark.parametrize("cfg", [default_config(), bimodal_config(0)], ids=["fig2", "fig3"])
     def test_full_scale_summed_estimate_is_pinned(self, cfg):
@@ -506,6 +524,44 @@ class TestSeparableSummedKernel:
         est = mle_belief(queries, cfg.mle, cfg.query_grid, cfg.theta_grid, cfg.reward_form,
                          False, cfg.beta_a)
         assert est.astuple() == (-6.0, 0.25, 6.0, 0.25, 0.5)
+
+
+def _summed_digests():
+    """sha256 of ``_summed_objective`` on the fig2 and fig3 seed-0 datasets of
+    each reward form (the coarse grid, then one refinement window clipped at
+    the search box), on an all-diagonal dataset, and on a grid whose
+    components include one off the theta grid."""
+    out = {}
+    for name, base in (("fig2", default_config()), ("fig3", bimodal_config(0))):
+        m = base.mle
+        ranges = (m.mu1, m.mu2, m.sigma1, m.sigma2, m.p_z)
+        coarse = agents._coarse_axes(ranges)
+        bounds = [(math.log(r.lo), math.log(r.hi)) if log else (r.lo, r.hi)
+                  for r, log in zip(ranges, agents._LOG_SCALED)]
+        centre = [coarse[0][0], coarse[1][-1], coarse[2][0], coarse[3][0], coarse[4][4]]
+        window = [np.linspace(*agents._clip_window(c, m.refine_shrink * (hi - lo), lo, hi),
+                              r.count) for c, (lo, hi), r in zip(centre, bounds, ranges)]
+        for form in REWARD_FORMS:
+            cfg = replace(base, reward_form=form)
+            queries = sample_queries(cfg, discretize_belief(cfg.prior, cfg.theta_grid))
+            out[f"{name}-{form}"] = [(axes, queries, form) for axes in (coarse, window)]
+    cfg = bimodal_config(0)
+    m = cfg.mle
+    coarse = agents._coarse_axes((m.mu1, m.mu2, m.sigma1, m.sigma2, m.p_z))
+    out["diagonal"] = [(coarse, [Query(1.0, 1.0), Query(-2.0, -2.0)], "absolute_distance")]
+    far = [np.array([-300.0, -2.0, 0.0]), np.array([0.0, 3.0, 300.0]), np.log([0.25, 1.0]),
+           np.log([0.5, 2.0]), np.array([0.0, 0.3, 1.0])]
+    queries = sample_queries(cfg, discretize_belief(cfg.prior, cfg.theta_grid))
+    out["unrepresentable"] = [(far, queries, "absolute_distance")]
+    digests = {}
+    for name, grids in out.items():
+        h = hashlib.sha256()
+        for axes, queries, form in grids:
+            lik1 = _dataset_likelihoods(queries, TG.points, form)
+            sigma_units = [np.exp(ax) if log else ax for ax, log in zip(axes, agents._LOG_SCALED)]
+            h.update(_summed_objective(sigma_units, lik1, TG.points).tobytes())
+        digests[name] = h.hexdigest()
+    return digests
 
 
 class TestExactNormalizer:
@@ -642,7 +698,7 @@ class TestCoarseNormalizerCache:
         # Both equal the uncached coarse pass, normalizers and all.
         points = self.TG.points
         ranges = (self.CFG.mu1, self.CFG.mu2, self.CFG.sigma1, self.CFG.sigma2, self.CFG.p_z)
-        params = agents._search_rows(agents._coarse_axes(ranges))[1]
+        params = agents._search_rows(agents._coarse_axes(ranges))
         want = _exact_objective(params, _dataset_likelihoods(self.DATA_B, points, form),
                                 points, 50.0,
                                 _exact_log_normalizers(params, self.TG, self.QG, form, 50.0),

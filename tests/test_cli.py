@@ -164,6 +164,23 @@ class TestTeachAndLoop:
         assert lines[0] == "round,x1,x2,y,entropy"
         assert len(lines) == 5
 
+    def test_loop_with_overflowing_squared_distance_runs(self, tmp_path, capsys):
+        # The honest teacher's squared distance to theta_true = +-1e200
+        # overflows; it used to raise OverflowError.  Every answer is then a
+        # tie at the logistic's limit, so both runs draw the same coin flips.
+        traces = []
+        for theta in ("1e200", "-1e200"):
+            cfg = tmp_path / f"far{theta}.cfg"
+            cfg.write_text(FAST_CFG + "agent.reward_form = squared_distance\n"
+                           + f"run.theta_true = {theta}\n")
+            out = tmp_path / f"loop{theta}"
+            assert main(["loop", "--teacher", "1", "--rounds", "4", "--seed", "2",
+                         "--out", str(out), "--config", str(cfg)]) == 0
+            assert capsys.readouterr().err == ""
+            traces.append((out / "trace.csv").read_text())
+        assert len(traces[0].splitlines()) == 5
+        assert traces[0] == traces[1]
+
     def test_teach_overflowing_theta_true_is_runtime_error(self, tmp_path, capsys):
         # Locating theta_true on the grid used to raise OverflowError.
         cfg = tmp_path / "far.cfg"

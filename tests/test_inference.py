@@ -344,6 +344,16 @@ class TestQueryGrid:
         for idx in (0, 48, 500, 2400):
             assert qg.index_of(qg.query_at(idx)) == idx
 
+    @pytest.mark.parametrize("qg", [QueryGrid(-6.0, 6.0, 49), QueryGrid(-1.0, 2.5, 7)])
+    def test_query_at_reads_the_candidate_table(self, qg):
+        cands = qg.candidates
+        for idx in range(-qg.n_candidates, qg.n_candidates):
+            q = qg.query_at(idx)
+            assert (q.x1, q.x2) == tuple(cands[idx])
+        for idx in (-qg.n_candidates - 1, qg.n_candidates):
+            with pytest.raises(IndexError):
+                qg.query_at(idx)
+
     def test_off_grid_query_rejected(self):
         qg = QueryGrid(-6.0, 6.0, 49)
         with pytest.raises(InvalidInputError):

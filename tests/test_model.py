@@ -23,6 +23,7 @@ from querymind.model import (
     sample_answer,
     uniform_belief,
 )
+from querymind.inference import likelihood_matrix
 
 
 class TestReward:
@@ -52,6 +53,11 @@ class TestReward:
     def test_rejects_unknown_form(self):
         with pytest.raises(InvalidInputError):
             reward(0.0, 0.0, "cubic")
+
+    def test_overflowing_squared_distance_is_minus_inf(self):
+        # (x - theta) ** 2 used to raise OverflowError.
+        assert reward(1e200, 0.0, SQUARED_DISTANCE) == -math.inf
+        assert reward(-1e200, 1e200, SQUARED_DISTANCE) == -math.inf
 
 
 class TestResponseProb:
@@ -88,6 +94,21 @@ class TestResponseProb:
         for theta, x1, x2 in rng.uniform(-6, 6, size=(1000, 3)):
             p = response_prob(theta, Query(x1, x2), ABSOLUTE_DISTANCE)
             assert 0.0 < p < 1.0
+
+    @pytest.mark.parametrize("form, theta, x1, x2, want", [
+        # Both squared distances overflow, and their halves round equal.
+        (SQUARED_DISTANCE, 1e200, 0.0, 1.0, 0.5),
+        (SQUARED_DISTANCE, 1e200, 1e200, -1e200, 0.0),
+        (SQUARED_DISTANCE, 1e200, -1e200, 1e200, 1.0),
+        # Both absolute distances overflow, so the gap is inf - inf.
+        (ABSOLUTE_DISTANCE, 1e308, -1e308, -1.5e308, 0.0),
+        (ABSOLUTE_DISTANCE, 1e308, -1.5e308, -1e308, 1.0),
+    ])
+    def test_overflowing_reward_gap_takes_the_logistic_limit(self, form, theta, x1, x2, want):
+        # The limit likelihood_matrix takes; this used to raise OverflowError
+        # or give NaN.
+        assert response_prob(theta, Query(x1, x2), form) == want
+        assert likelihood_matrix(np.array([theta]), np.array([[x1, x2]]), form)[0, 0] == want
 
 
 class TestSampleAnswer:
