@@ -14,7 +14,7 @@ from functools import reduce
 from typing import Callable
 
 from .model import MIN_SIGMA, REWARD_FORMS
-from .experiments import ConfigError, ScenarioConfig
+from .experiments import _SELECTION_MODES, ConfigError, ScenarioConfig
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
                "yes": True, "no": False}
@@ -53,7 +53,7 @@ _KEYS: dict[str, tuple[tuple[str, ...], Callable, Callable | None, str]] = {
     "run.theta_true": (("theta_true",), _finite_float, *_ANY),
     "run.n_queries": (("n_queries",), int, *_AT_LEAST_1),
     "run.seed": (("seed",), int, *_ANY),
-    "run.selection": (("selection",), str, lambda v: v in ("sample", "argmax"),
+    "run.selection": (("selection",), str, lambda v: v in _SELECTION_MODES,
                       "must be 'sample' or 'argmax'"),
     "run.exact_likelihood": (("exact_likelihood",), _parse_bool, *_ANY),
     "agent.beta_a": (("beta_a",), _finite_float, *_NONNEGATIVE),

@@ -33,7 +33,6 @@ from .inference import (
     eig_map,
     entropy,
     posterior_update,
-    softmax_policy,
 )
 from .agents import (
     MleSearchConfig,
@@ -127,8 +126,6 @@ class RunReport:
     belief_estimated: GridBelief | None = None
     teaching_utils_uniform: np.ndarray | None = None
     teaching_utils_adaptive: np.ndarray | None = None
-    teaching_policy_uniform: np.ndarray | None = None
-    teaching_policy_adaptive: np.ndarray | None = None
     argmax_uniform: LabeledExample | None = None
     argmax_adaptive: LabeledExample | None = None
     learner_mass_after_uniform: float | None = None
@@ -249,8 +246,6 @@ def run_belief_correction(cfg: ScenarioConfig) -> RunReport:
                                        None, qg, cfg.reward_form)
     report.teaching_utils_uniform = u_uniform
     report.teaching_utils_adaptive = u_adaptive
-    report.teaching_policy_uniform = softmax_policy(u_uniform, cfg.beta_h)
-    report.teaching_policy_adaptive = softmax_policy(u_adaptive, cfg.beta_h)
 
     def take_argmax(utils: np.ndarray) -> LabeledExample:
         idx = int(np.argmax(utils))

@@ -21,7 +21,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, xlogy
+from scipy.special import xlogy
 
 from .model import (
     ABSOLUTE_DISTANCE,
@@ -29,7 +29,7 @@ from .model import (
     InvalidInputError,
     Query,
     ThetaGrid,
-    _gap_limit,
+    _answer_prob,
     _nearest_index,
     _require_finite,
     _require_form,
@@ -108,33 +108,16 @@ class QueryPolicy:
 
 
 def answer_likelihoods(points: np.ndarray, q: Query, form: str = ABSOLUTE_DISTANCE) -> np.ndarray:
-    """P(y=1 | theta, q) for every theta in ``points``."""
-    return likelihood_matrix(points, np.array([[q.x1, q.x2]]), form)[0]
+    """P(y=1 | theta, q) for every theta in ``points``: the choice model's row."""
+    return _answer_prob(points, q.x1, q.x2, form)
 
 
 def likelihood_matrix(points: np.ndarray, candidates: np.ndarray,
                       form: str = ABSOLUTE_DISTANCE) -> np.ndarray:
-    """(n_candidates, n_points) matrix of P(y=1 | theta, candidate).
-
-    A reward difference that overflows takes the logistic's limit: 1 or 0 by
-    the sign of ``|theta - x1| - |theta - x2|``, and 0.5 when they are equal.
-    """
-    _require_form(form)
-    x1 = candidates[:, 0][:, None]
-    x2 = candidates[:, 1][:, None]
-    th = points[None, :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        if form == ABSOLUTE_DISTANCE:
-            diff = np.abs(th - x1) - np.abs(th - x2)
-        else:
-            d1 = th - x1
-            d2 = th - x2
-            diff = d1 * d1 - d2 * d2
-    lik = expit(diff)
-    if not np.isfinite(diff).all():
-        overflow = ~np.isfinite(diff)
-        lik[overflow] = _gap_limit(th, x1, x2)[overflow]
-    return lik
+    """(n_candidates, n_points) matrix of P(y=1 | theta, candidate): the choice
+    model :func:`model._answer_prob` on the outer product of the candidates and
+    the points, overflowing gaps at the logistic's limit included."""
+    return _answer_prob(points[None, :], candidates[:, :1], candidates[:, 1:], form)
 
 
 def predictive_answer_prob(b: GridBelief, q: Query, form: str = ABSOLUTE_DISTANCE) -> float:

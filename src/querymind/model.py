@@ -3,7 +3,11 @@
 The responder prefers items close to an ideal point ``theta``.  A query shows
 two items; the answer ``y = 1`` means the second item was preferred.  Choice
 noise is logistic in the reward difference, so the probability of preferring
-the second item is ``sigmoid(r(x2) - r(x1))``.
+the second item is ``expit(r(x2) - r(x1))``.  This choice model is written
+once, in :func:`_answer_prob`: the honest responder draws its answers from it
+on scalars, and every likelihood table of the learner and of the higher-order
+agents (``inference.likelihood_matrix``) evaluates it on whole grids, so the
+learner's model of the responder is the responder, bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 ABSOLUTE_DISTANCE = "absolute_distance"
 SQUARED_DISTANCE = "squared_distance"
@@ -180,17 +185,22 @@ class GridBelief:
                            _require_probabilities(self.mass, self.grid.n_points, "mass"))
 
 
-def reward(theta: float, x: float, form: str = ABSOLUTE_DISTANCE) -> float:
-    """Distance-based reward of item ``x`` under ideal point ``theta`` (<= 0);
-    a squared distance that overflows gives its limit, -inf."""
-    _require_finite(theta=theta, x=x)
+def _distance(theta, x, form: str):
+    """``|x - theta|`` or ``(x - theta) ** 2``, broadcasting.  A distance that
+    overflows is inf; callers enter ``np.errstate(over="ignore")`` once, so
+    that it comes without a warning."""
     _require_form(form)
-    if form == ABSOLUTE_DISTANCE:
-        return -abs(x - theta)
-    try:
-        return -((x - theta) ** 2)
-    except OverflowError:
-        return -math.inf
+    d = np.subtract(x, theta)
+    return np.abs(d) if form == ABSOLUTE_DISTANCE else np.square(d)
+
+
+def reward(theta, x, form: str = ABSOLUTE_DISTANCE):
+    """Distance-based reward of item ``x`` under ideal point ``theta`` (<= 0),
+    broadcasting; a distance that overflows gives its limit, -inf."""
+    if not (np.isfinite(theta).all() and np.isfinite(x).all()):
+        raise InvalidInputError(f"theta and x must be finite, got {theta!r}, {x!r}")
+    with np.errstate(over="ignore"):
+        return -_distance(theta, x, form)
 
 
 def _gap_limit(theta, x1, x2):
@@ -201,18 +211,22 @@ def _gap_limit(theta, x1, x2):
     return 0.5 + 0.5 * np.sign(np.abs(0.5 * theta - 0.5 * x1) - np.abs(0.5 * theta - 0.5 * x2))
 
 
-def _sigmoid(d: float) -> float:
-    if d >= 0.0:
-        return 1.0 / (1.0 + math.exp(-d))
-    e = math.exp(d)
-    return e / (1.0 + e)
+def _answer_prob(theta, x1, x2, form: str):
+    """The choice model: P(y = 1 | theta, (x1, x2)) = ``expit(d(theta, x1) -
+    d(theta, x2))``, broadcasting; a gap that is not finite (inf, or inf - inf)
+    takes its limit, :func:`_gap_limit`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = _distance(theta, x1, form) - _distance(theta, x2, form)
+    p = expit(gap)
+    finite = np.isfinite(gap)
+    return p if finite.all() else np.where(finite, p, _gap_limit(theta, x1, x2))
 
 
 def response_prob(theta: float, q: Query, form: str = ABSOLUTE_DISTANCE) -> float:
-    """Probability of answering ``y = 1`` (prefer ``x2``) given ``theta``; a
-    reward gap that overflows takes its limit, :func:`_gap_limit`."""
-    gap = reward(theta, q.x2, form) - reward(theta, q.x1, form)
-    return _sigmoid(gap) if math.isfinite(gap) else float(_gap_limit(theta, q.x1, q.x2))
+    """Probability of answering ``y = 1`` (prefer ``x2``) given ``theta``: the
+    choice model :func:`_answer_prob` on one query."""
+    _require_finite(theta=theta)
+    return float(_answer_prob(theta, q.x1, q.x2, form))
 
 
 def sample_answer(theta: float, q: Query, form: str, rng: np.random.Generator) -> int:

@@ -380,7 +380,7 @@ eig_true.csv e9b528a64ea272f64b206c9e5f09c8417499cab98f690dbb46760b5d2bf69493
 heatmap_estimated.svg 846243cd032efa9b9e7b87ec91e4b15dcce51b376054b7e8af65b5a2fe1e7d41
 heatmap_true.svg baa05ffb917710c40b6d14d5f155014e892e25b396ec86ac9868cc45bf08d138
 queries.csv 51c9be1a4ee5ea9c02ad58097b0800cbcac3f74968e00a814710a6fad6806703
-report.json 740e32bf4e52ef6e0d709337c39efb88f05e88b744b8fc73e01d98ec31f2b129
+report.json 6f31e251838068b58b725391b53c865a7af79528e30f6311b0e6d63d79b684ee
 """,
     "fig3": """\
 belief_estimated.csv e6512ee6a2b4da305f364d86672fe8a30901ada355803e3731b655c642e37a21
@@ -390,14 +390,14 @@ eig_true.csv 79f9d38a3307f52913d4cde6e51893f1b976b5f233a0c6f97c538e748d14e15b
 heatmap_estimated.svg 846243cd032efa9b9e7b87ec91e4b15dcce51b376054b7e8af65b5a2fe1e7d41
 heatmap_true.svg c6db65e436b6b2d9f02594431b6636d4b261feb7f43c3895b9d03acf17c2968a
 queries.csv 8c18241513c15415f3bfc2746618172d244a380d9e517f658573cae56a557318
-report.json a7d3c9130b81fa0c6ce42ddfbdfd2fb2210bbe25c3a63bf8126af5f4067fc108
+report.json 942f2bb589fbd5adbc797dec6fe43e90fcc2cfeb2d0493b90b0eb6b3764ff18c
 """,
     "fig4": """\
 belief_inferred.csv e6512ee6a2b4da305f364d86672fe8a30901ada355803e3731b655c642e37a21
 heatmap_teach_adaptive.svg 7a95d635d672464ada6a0ea5809e0afdd29d42e5bc352035aea8073d6a6eb7b5
 heatmap_teach_uniform.svg 0e46c97d77c2a4f06d88f35e90578c44f1ed75b0dfb512411977197204e7f96a
 queries.csv 51c9be1a4ee5ea9c02ad58097b0800cbcac3f74968e00a814710a6fad6806703
-report.json 0bbae64ba0fe1dc436a286ee46c2a20e027537a8bbe24f4b7a2f2b067bbd7a5b
+report.json 2993e7ec0121989362a91c4c8533172122e454b49183e3d7354340a0b9199908
 teach_adaptive.csv 28f483ba0a9b4445fa206b3a3624819901fa752a8530cfdd697dec21b1e8ffd1
 teach_uniform.csv d7dd98ca2c25b13af52d0fd478088391b4b48a268d38ff551a96f44083f90e03
 """,

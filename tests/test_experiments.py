@@ -109,8 +109,6 @@ class TestBeliefCorrection:
         two_c = 2 * cfg.query_grid.n_candidates
         assert rep.teaching_utils_uniform.shape == (two_c,)
         assert rep.teaching_utils_adaptive.shape == (two_c,)
-        assert abs(float(rep.teaching_policy_uniform.sum()) - 1.0) <= 1e-9
-        assert abs(float(rep.teaching_policy_adaptive.sum()) - 1.0) <= 1e-9
         assert 0.0 <= rep.learner_mass_after_uniform <= 1.0
         assert 0.0 <= rep.learner_mass_after_adaptive <= 1.0
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ from querymind.agents import l2_query_policy
 from querymind.model import (
     ABSOLUTE_DISTANCE,
     REWARD_FORMS,
+    SQUARED_DISTANCE,
     BeliefParams,
     GridBelief,
     InvalidInputError,
@@ -372,9 +374,55 @@ class TestQueryGrid:
         assert np.all(np.isfinite(QueryGrid(-8e307, 8e307, 49).candidates))
 
 
+def _wide_points_and_pairs():
+    """97 points and 500 pairs drawn at scales from 1 to 1.8e308, so that
+    some distances and some gaps overflow under either reward form."""
+    rng = np.random.default_rng(14)
+    scales = np.array([1.0, 1e3, 1e100, 1e160, 1e307, 1e308])
+
+    def draw(shape):
+        return rng.choice(scales, size=shape) * rng.uniform(-1.79, 1.79, size=shape)
+
+    return draw(97), draw((500, 2))
+
+
 class TestLikelihoodMatrix:
     POINTS = np.linspace(-6.0, 6.0, 25)
     FINITE = np.array([[-4.0, 2.0], [2.0, -4.0], [0.5, 0.5], [-6.0, 6.0]])
+    # sha256 of the matrix bytes, computed before the choice model was
+    # written once in ``model._answer_prob``: the default theta grid against
+    # all 49 x 49 candidates, and the wide set of _wide_points_and_pairs.
+    DIGESTS = {
+        (ABSOLUTE_DISTANCE, "default"):
+            "2427d9e691ac6ddbb8d1d9262a0033cdde0598044b7ee03282ff60b55edff2b4",
+        (ABSOLUTE_DISTANCE, "wide"):
+            "29dfe18335e7b4b0eb81e0d2f8c94e3722066ac7d761bb827ac016fb1d4fbef6",
+        (SQUARED_DISTANCE, "default"):
+            "192dfe9f7e9e9d26893cd64d28ab455daa26b3c3347cdc09bca88caabf94ae5d",
+        (SQUARED_DISTANCE, "wide"):
+            "fa53a2b7872655627c849eaa54a7ee1c13cc403cce39eba7e5757b07fc1baedd",
+    }
+
+    @pytest.mark.parametrize("form, table", sorted(DIGESTS))
+    def test_digests_are_pinned(self, form, table):
+        if table == "default":
+            points, pairs = ThetaGrid(-6.0, 6.0, 241).points, QueryGrid(-6.0, 6.0, 49).candidates
+        else:
+            points, pairs = _wide_points_and_pairs()
+        got = likelihood_matrix(points, pairs, form)
+        assert hashlib.sha256(got.tobytes()).hexdigest() == self.DIGESTS[form, table]
+        if table == "wide":
+            # Both limits of the logistic occur; 946 (absolute) and 43,460
+            # (squared) of the 48,500 gaps overflow.
+            assert np.isin((0.0, 1.0), got).all()
+
+    def test_answer_likelihoods_is_one_row(self, default_grid):
+        pairs = QueryGrid(-6.0, 6.0, 13).candidates
+        for form in REWARD_FORMS:
+            table = likelihood_matrix(default_grid.points, pairs, form)
+            for row, (x1, x2) in zip(table, pairs):
+                got = answer_likelihoods(default_grid.points, Query(x1, x2), form)
+                assert got.tobytes() == row.tobytes()
 
     @pytest.mark.parametrize("form", REWARD_FORMS)
     def test_overflowing_difference_takes_the_logistic_limit(self, form):

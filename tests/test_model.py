@@ -59,6 +59,30 @@ class TestReward:
         assert reward(1e200, 0.0, SQUARED_DISTANCE) == -math.inf
         assert reward(-1e200, 1e200, SQUARED_DISTANCE) == -math.inf
 
+    def test_broadcasts_and_matches_its_scalar_values(self):
+        rng = np.random.default_rng(3)
+        theta = rng.uniform(-6, 6, size=7)
+        x = np.append(rng.uniform(-6, 6, size=4), [1e200, -1e308])[:, None]
+        for form in (ABSOLUTE_DISTANCE, SQUARED_DISTANCE):
+            got = reward(theta, x, form)
+            assert got.shape == (6, 7)
+            want = [[reward(float(t), float(xi), form) for t in theta] for xi in x[:, 0]]
+            assert got.tolist() == want
+        assert isinstance(reward(0.0, 2.0), float)
+        with pytest.raises(InvalidInputError):
+            reward(theta, np.array([0.0, math.nan])[:, None])
+
+
+OVERFLOWING_GAPS = [
+    # Both squared distances overflow, and their halves round equal.
+    (SQUARED_DISTANCE, 1e200, 0.0, 1.0, 0.5),
+    (SQUARED_DISTANCE, 1e200, 1e200, -1e200, 0.0),
+    (SQUARED_DISTANCE, 1e200, -1e200, 1e200, 1.0),
+    # Both absolute distances overflow, so the gap is inf - inf.
+    (ABSOLUTE_DISTANCE, 1e308, -1e308, -1.5e308, 0.0),
+    (ABSOLUTE_DISTANCE, 1e308, -1.5e308, -1e308, 1.0),
+]
+
 
 class TestResponseProb:
     def test_identical_items_give_half(self):
@@ -95,20 +119,29 @@ class TestResponseProb:
             p = response_prob(theta, Query(x1, x2), ABSOLUTE_DISTANCE)
             assert 0.0 < p < 1.0
 
-    @pytest.mark.parametrize("form, theta, x1, x2, want", [
-        # Both squared distances overflow, and their halves round equal.
-        (SQUARED_DISTANCE, 1e200, 0.0, 1.0, 0.5),
-        (SQUARED_DISTANCE, 1e200, 1e200, -1e200, 0.0),
-        (SQUARED_DISTANCE, 1e200, -1e200, 1e200, 1.0),
-        # Both absolute distances overflow, so the gap is inf - inf.
-        (ABSOLUTE_DISTANCE, 1e308, -1e308, -1.5e308, 0.0),
-        (ABSOLUTE_DISTANCE, 1e308, -1.5e308, -1e308, 1.0),
-    ])
+    @pytest.mark.parametrize("form, theta, x1, x2, want", OVERFLOWING_GAPS)
     def test_overflowing_reward_gap_takes_the_logistic_limit(self, form, theta, x1, x2, want):
         # The limit likelihood_matrix takes; this used to raise OverflowError
         # or give NaN.
         assert response_prob(theta, Query(x1, x2), form) == want
         assert likelihood_matrix(np.array([theta]), np.array([[x1, x2]]), form)[0, 0] == want
+
+    @pytest.mark.parametrize("form", [ABSOLUTE_DISTANCE, SQUARED_DISTANCE])
+    def test_equals_the_likelihood_matrix_entry(self, form):
+        # The honest responder and the learner's likelihood tables are one
+        # choice model: equal bits, not only equal to rounding.
+        rng = np.random.default_rng(11)
+        draws = np.vstack([rng.uniform(-6, 6, size=(2000, 3)),
+                           rng.uniform(-1e3, 1e3, size=(500, 3)),
+                           [row[1:4] for row in OVERFLOWING_GAPS]])
+        for theta, x1, x2 in draws:
+            entry = likelihood_matrix(np.array([theta]), np.array([[x1, x2]]), form)[0, 0]
+            assert response_prob(theta, Query(x1, x2), form) == entry
+
+    def test_rejects_nonfinite_theta(self):
+        for theta in (math.nan, math.inf):
+            with pytest.raises(InvalidInputError):
+                response_prob(theta, Query(-1.0, 1.0))
 
 
 class TestSampleAnswer:
