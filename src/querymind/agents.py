@@ -47,7 +47,6 @@ from .inference import (
     eig_map,
     expected_info_gain,
     likelihood_matrix,
-    posterior_update,
     sample_index,
     softmax_policy,
 )
@@ -101,10 +100,15 @@ class ParamRange:
             raise InvalidInputError("range count must be >= 1")
         if self.lo > self.hi:
             raise InvalidInputError(f"range lo {self.lo} > hi {self.hi}")
+        if not math.isfinite(float(self.hi) - float(self.lo)):
+            raise InvalidInputError(f"range span hi - lo overflows, got [{self.lo}, {self.hi}]")
 
     def values(self) -> np.ndarray:
         if self.count == 1:
-            return np.array([0.5 * (self.lo + self.hi)])
+            # Halving first cannot overflow; it is used only where the sum does.
+            lo, hi = float(self.lo), float(self.hi)
+            mid = 0.5 * (lo + hi)
+            return np.array([mid if math.isfinite(mid) else 0.5 * lo + 0.5 * hi])
         return np.linspace(self.lo, self.hi, self.count)
 
 
@@ -368,7 +372,13 @@ def _exact_objective(params: np.ndarray, lik1: np.ndarray, points: np.ndarray,
     for start in range(0, params.shape[0], _SEARCH_CHUNK):
         rows = slice(start, start + _SEARCH_CHUNK)
         mass = _mixture_mass_batch(params[rows], points)
-        total = beta_a * _summed_eig_batch(mass, lik1) - n_queries * log_z[rows]
+        gain = _summed_eig_batch(mass, lik1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = beta_a * gain - n_queries * log_z[rows]
+            # At a huge beta_a both terms can overflow; such rows take an order
+            # of the same sum whose terms stay within about beta_a * ln 2.
+            big = ~np.isfinite(total)
+            total[big] = n_queries * (beta_a * (gain[big] / n_queries) - log_z[rows][big])
         total[mass.sum(axis=1) <= 0.0] = -np.inf
         out[rows] = total
     return out
@@ -405,7 +415,9 @@ def mle_objective(queries: Sequence[Query], bp: BeliefParams, qg: QueryGrid,
 
 def _clip_window(center: float, width: float, lo: float, hi: float) -> tuple[float, float]:
     half = 0.5 * width
-    return max(lo, center - half), min(hi, center + half)
+    # An edge past the largest float overflows to its limit, which the range clips.
+    with np.errstate(over="ignore"):
+        return max(lo, center - half), min(hi, center + half)
 
 
 def mle_belief(queries: Sequence[Query], cfg: MleSearchConfig, qg: QueryGrid,
@@ -480,8 +492,7 @@ def _l2_policy_matrix(ensemble: BeliefEnsemble, qg: QueryGrid, grid: ThetaGrid,
     """(J, C) gain maps and (J, C) level-2 query policies of the particles."""
     maps = np.stack([eig_map(discretize_belief(bp, grid), qg, form)
                      for bp in ensemble.particles])
-    policies = np.stack([softmax_policy(m, beta_a) for m in maps])
-    return maps, policies
+    return maps, softmax_policy(maps, beta_a)
 
 
 def _observer_posteriors(weights: np.ndarray, policies: np.ndarray) -> np.ndarray:
@@ -521,17 +532,12 @@ def teaching_candidates(qg: QueryGrid) -> list[LabeledExample]:
 
 def l3_teaching_utility(tc: LabeledExample, theta_true: float, prior: GridBelief,
                         form: str = ABSOLUTE_DISTANCE) -> float:
-    """Posterior mass the learner would place on the true ideal point's cell.
-
-    An answer of zero likelihood under the prior has utility 0, as in
-    :func:`l3_teaching_utilities`.
-    """
-    target = prior.grid.index_of(theta_true)
-    try:
-        post = posterior_update(prior, tc.query, tc.y, form)
-    except ImpossibleEvidenceError:
-        return 0.0
-    return float(post.mass[target])
+    """Posterior mass the learner would place on the true ideal point's cell:
+    the example's entry of :func:`_teaching_utility_table` for one prior, so an
+    answer of zero likelihood under the prior has utility 0."""
+    q = tc.query
+    return float(_teaching_utility_table(theta_true, [prior], None,
+                                         np.array([[q.x1, q.x2]]), form)[0, tc.y])
 
 
 def _teaching_utility_table(theta_true: float, priors: Sequence[GridBelief],
@@ -612,7 +618,7 @@ def _l4_policy_matrix(ensemble: BeliefEnsemble, lam: float, qg: QueryGrid, grid:
     maps, policies = _l2_policy_matrix(ensemble, qg, grid, beta_a, form)
     ident = _observer_posteriors(ensemble.weights, policies)
     utilities = (1.0 - lam) * maps + lam * LN2 * ident
-    return policies, np.stack([softmax_policy(u, beta_a) for u in utilities])
+    return policies, softmax_policy(utilities, beta_a)
 
 
 def l4_query_policy(true_index: int, ensemble: BeliefEnsemble, lam: float,

@@ -224,10 +224,12 @@ def _require_rationality(beta: float) -> None:
 
 
 def softmax_policy(utilities: np.ndarray, beta: float) -> np.ndarray:
-    """Boltzmann choice probabilities ``exp(beta * u)``, normalized.
+    """Boltzmann choice probabilities ``exp(beta * u)``, normalized along the
+    last axis, so a (J, C) matrix gives J policies in one call.
 
     Computed with max-subtraction; invariant to adding a constant to the
-    utilities, and exactly uniform at ``beta = 0``.
+    utilities, and exactly uniform at ``beta = 0``.  Each row of a matrix gets
+    the bits of the 1-D call on that row.
     """
     u = np.asarray(utilities, dtype=np.float64)
     if u.size == 0:
@@ -236,9 +238,9 @@ def softmax_policy(utilities: np.ndarray, beta: float) -> np.ndarray:
         raise InvalidInputError("utilities must be finite")
     _require_rationality(beta)
     z = beta * u
-    z = z - z.max()
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / np.sum(e)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:

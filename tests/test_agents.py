@@ -30,6 +30,7 @@ from querymind.inference import (
     QueryGrid,
     eig_map,
     expected_info_gain,
+    posterior_update,
 )
 from querymind.agents import (
     BeliefEnsemble,
@@ -69,6 +70,16 @@ def _summed_rows(rows, lik1, points):
     """``_summed_objective`` of each (mu1, s1, mu2, s2, p_z) row, scored as a one-point grid."""
     return np.array([_summed_objective([row[[c]] for c in (0, 2, 1, 3, 4)], lik1, points).item()
                      for row in rows])
+
+
+def _learner_mass(tc, theta_true, prior, form="absolute_distance"):
+    """The learner's own posterior mass on the true cell: the oracle of the
+    teacher's table.  An answer of zero likelihood under the prior gives 0."""
+    try:
+        post = posterior_update(prior, tc.query, tc.y, form)
+    except ImpossibleEvidenceError:
+        return 0.0
+    return float(post.mass[prior.grid.index_of(theta_true)])
 
 
 def two_particle_ensemble():
@@ -401,6 +412,38 @@ class TestMleBelief:
         est = mle_belief(queries, cfg, QG, TG)
         assert est.is_canonical
 
+    def test_overflowing_range_span_rejected(self):
+        # hi - lo overflowed, so np.linspace gave a NaN axis that argmax picked.
+        with pytest.raises(InvalidInputError,
+                           match=r"range span hi - lo overflows, got \[-1e\+308, 1e\+308\]"):
+            ParamRange(-1e308, 1e308, 3)
+        with pytest.raises(InvalidInputError, match="range span"):
+            ParamRange(np.float64(-1e308), np.float64(1e308), 1)
+        assert np.all(np.isfinite(ParamRange(-8e307, 8e307, 3).values()))
+
+    def test_single_point_range_takes_a_finite_midpoint(self):
+        # 0.5 * (lo + hi) overflowed to inf for a range past half the largest float.
+        for lo, hi in ((1e308, 1.5e308), (np.float64(1e308), np.float64(1.5e308)),
+                       (-1.5e308, -1e308)):
+            assert ParamRange(lo, hi, 1).values().tolist() == [0.5 * lo + 0.5 * hi]
+        # Halving is exact, so wherever the sum is finite the midpoint keeps its bits.
+        rng = np.random.default_rng(8)
+        for lo, hi in np.sort(rng.uniform(-100.0, 100.0, (200, 2)), axis=1):
+            assert ParamRange(lo, hi, 1).values().tolist() == [0.5 * (lo + hi)]
+
+    @pytest.mark.parametrize("mu1", [ParamRange(1e308, 1.5e308, 1),
+                                     ParamRange(-1.7e308, -1e308, 3)], ids=["midpoint", "window"])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_search_ranges_near_the_largest_float_give_finite_estimates(self, mu1, exact):
+        # A refinement window edge past the largest float overflows to its
+        # limit and is clipped to the range, without a RuntimeWarning.
+        tg, qg = ThetaGrid(-6.0, 6.0, 41), QueryGrid(-6.0, 6.0, 7)
+        cfg = MleSearchConfig(mu1=mu1, mu2=ParamRange(0.0, 6.0, 3),
+                              sigma1=ParamRange(0.5, 1.0, 2), sigma2=ParamRange(0.5, 1.0, 2),
+                              p_z=ParamRange(0.3, 0.7, 3), n_refine_iters=1)
+        est = mle_belief([Query(-4.0, 2.0), Query(2.0, -4.0)], cfg, qg, tg, exact=exact)
+        assert all(math.isfinite(v) for v in est.astuple())
+
 
 class TestSeparableSummedKernel:
     """``_summed_objective`` against the scalar ``mle_objective``, and pinned bit
@@ -617,6 +660,25 @@ class TestExactNormalizer:
         if form == "absolute_distance":
             assert got[:2].tolist() == [-121.14544991725427, -121.14544991725404]
 
+    def test_huge_rationality_scores_without_nan(self):
+        # beta_a * gain and n_queries * log_z both overflowed, so every row
+        # scored inf - inf = NaN, with two RuntimeWarnings, and argmax took row 0.
+        beta = 1e308
+        cfg = bimodal_config(0)
+        queries = sample_queries(cfg, discretize_belief(cfg.prior, cfg.theta_grid))
+        points = cfg.theta_grid.points
+        rows = self._rows()
+        log_z = _exact_log_normalizers(rows, cfg.theta_grid, cfg.query_grid,
+                                       "absolute_distance", beta)
+        got = _exact_objective(rows, _dataset_likelihoods(queries, points, "absolute_distance"),
+                               points, beta, log_z, len(queries))
+        assert not np.any(np.isnan(got))
+        assert got[2] == -np.inf
+        want = [mle_objective(queries, BeliefParams(*row), cfg.query_grid, cfg.theta_grid,
+                              exact=True, beta_a=beta) for row in rows[3:]]
+        np.testing.assert_allclose(got[3:], want, rtol=1e-9)
+        assert np.any(np.isfinite(got))
+
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_bytes_do_not_depend_on_worker_count(self, workers, monkeypatch):
         # More workers than cores and frequent thread switches: a row left
@@ -822,8 +884,8 @@ class TestTeaching:
         small_qg = QueryGrid(-6.0, 6.0, 7)
         utils = l3_teaching_utilities(2.0, [prior], None, small_qg)
         for idx, tc in enumerate(teaching_candidates(small_qg)):
-            assert utils[idx] == pytest.approx(
-                l3_teaching_utility(tc, 2.0, prior), abs=1e-12)
+            assert utils[idx] == pytest.approx(_learner_mass(tc, 2.0, prior), abs=1e-12)
+            assert l3_teaching_utility(tc, 2.0, prior) == utils[idx]
 
     def test_zero_rationality_uniform_policy(self):
         prior = uniform_belief(TG)
@@ -854,11 +916,11 @@ class TestTeaching:
         prior = discretize_belief(BeliefParams(5.0, 0.01, 5.0, 0.01, 0.5), TG)
         q = Query(-6.0, -4.0)
         table = l3_teaching_utilities(5.0, [prior], None, QG, SQUARED_DISTANCE)
-        oracle = l3_teaching_utility(LabeledExample(q, 0), 5.0, prior, SQUARED_DISTANCE)
+        oracle = _learner_mass(LabeledExample(q, 0), 5.0, prior, SQUARED_DISTANCE)
         assert oracle == table[2 * QG.index_of(q)] == 0.0
         qg = QueryGrid(-6.0, 6.0, 13)
         table = l3_teaching_utilities(5.0, [prior], None, qg, SQUARED_DISTANCE)
-        oracle = [l3_teaching_utility(tc, 5.0, prior, SQUARED_DISTANCE)
+        oracle = [_learner_mass(tc, 5.0, prior, SQUARED_DISTANCE)
                   for tc in teaching_candidates(qg)]
         np.testing.assert_allclose(oracle, table, rtol=0.0, atol=1e-12)
         assert np.count_nonzero(table == 0.0) > 0
@@ -1024,3 +1086,63 @@ class TestBayesFactor:
         l4 = [l4_query_policy(j, ens, 0.5, QG, TG, 20.0).probs[idx] for j in range(n)]
         want = float(ens.weights @ l2[:, idx]) / float(ens.weights @ np.array(l4))
         assert bayes_factor(q, ens, 20.0, 0.5, QG, TG) == pytest.approx(want, rel=1e-12)
+
+
+class TestPinnedLadderBits:
+    """The teacher's utilities and the ToM, level-4 and Bayes-factor numbers,
+    pinned bit for bit.  A change to any bit of the teaching table, the
+    level-2 and level-4 softmax or the observer's reweighting shows here."""
+
+    # sha256 of the float64 bytes of the values built below.
+    TEACHING = {
+        "absolute_distance": "2f09a9641808d081bc0a21dae836ab4b3c4b1b7e41af4a0c73f4f6a970e8d1e5",
+        SQUARED_DISTANCE: "ac33860b5cc75dd87fe81f5700fe29464ee25548752a84b7f1c02e01853a201e",
+    }
+    INTENT = {
+        (2, "absolute_distance"):
+            "1a90e5675ea0e16de254ab5589758cbde5a21a349de7355d5ad84ccdb6211ffd",
+        (4, "absolute_distance"):
+            "d525c84221b25695d11deffb7137d902dd7c578dae69bf887bd76006fb13ec3e",
+        (2, SQUARED_DISTANCE):
+            "f7cb06a568c6391615ad107810f1cd6814f76d63b4596953702732cdd57e8ef1",
+        (4, SQUARED_DISTANCE):
+            "790b04efe9b70a96776976e79643ffec7ab1cdbff1da77be255de9d6b7b3d8ca",
+    }
+
+    @staticmethod
+    def _digest(values):
+        return hashlib.sha256(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("form", REWARD_FORMS)
+    def test_teaching_utilities_are_pinned(self, form):
+        # The point-like prior at 5 makes many answers impossible under
+        # squared distance; the last three priors are random and peaked.
+        rng = np.random.default_rng(15)
+        priors = [discretize_belief(BeliefParams(5.0, 0.01, 5.0, 0.01, 0.5), TG),
+                  discretize_belief(DOMINANT_LEFT, TG), uniform_belief(TG)]
+        for _ in range(3):
+            raw = rng.uniform(0.0, 1.0, TG.n_points) ** 4
+            priors.append(GridBelief(TG, raw / raw.sum()))
+        cands = teaching_candidates(QueryGrid(-6.0, 6.0, 13))
+        got = [l3_teaching_utility(tc, theta, prior, form)
+               for prior in priors for theta in (2.0, 5.0, -0.75) for tc in cands]
+        assert self._digest(got) == self.TEACHING[form]
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("form", REWARD_FORMS)
+    def test_intent_numbers_are_pinned(self, n, form):
+        rng = np.random.default_rng(40 + n)
+        particles = tuple(BeliefParams(float(a), float(s1), float(b), float(s2), float(p))
+                          for a, b, s1, s2, p in zip(rng.uniform(-5, -1, n), rng.uniform(0, 5, n),
+                                                     rng.uniform(0.5, 2, n), rng.uniform(0.5, 2, n),
+                                                     rng.uniform(0, 1, n)))
+        ens = BeliefEnsemble(particles, rng.dirichlet(np.ones(n)))
+        got = []
+        for idx in (0, 121, 600, 1130, 2400):
+            q = QG.query_at(idx)
+            got.extend(tom_posterior(ens, q, QG, TG, 20.0, form).weights)
+            got.append(bayes_factor(q, ens, 20.0, 0.5, QG, TG, form))
+        for lam in (0.0, 0.5, 1.0):
+            for j in range(n):
+                got.extend(l4_query_policy(j, ens, lam, QG, TG, 20.0, form).probs)
+        assert self._digest(got) == self.INTENT[n, form]

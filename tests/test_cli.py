@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,18 @@ OFF_GRID_ERROR = (
     "error: no candidate belief has representable mass on the theta grid [-6.0, 6.0]: "
     "every candidate in the search ranges mu1 [-300.0, -200.0], mu2 [200.0, 300.0], "
     "sigma1 [0.25, 2.0], sigma2 [0.25, 2.0], p_z [0.1, 0.9] scored -inf\n")
+
+
+# The reduced search of the CI's byte-identity step.
+REDUCED_CFG = """
+grid.query_points = 7
+mle.mu1_count = 3
+mle.mu2_count = 3
+mle.sigma1_count = 2
+mle.sigma2_count = 2
+mle.p_z_count = 3
+mle.refine_iters = 1
+"""
 
 
 @pytest.fixture
@@ -253,6 +267,40 @@ class TestEstimateAndIntent:
         code = main(["estimate-belief", "--queries", str(qcsv), "--config", str(cfg)] + exact)
         assert code == 2
         assert capsys.readouterr() == ("", OFF_GRID_ERROR)
+
+    @pytest.mark.parametrize("exact", [[], ["--exact-likelihood"]])
+    @pytest.mark.parametrize("lines, want", [
+        ("mle.mu1_lo = -1e308\nmle.mu1_hi = 1e308\n",
+         ("", "error: range span hi - lo overflows, got [-1e+308, 1e+308]\n")),
+        ("mle.mu1_count = 1\nmle.mu1_lo = 1e308\nmle.mu1_hi = 1.5e308\n", None),
+    ], ids=["span", "midpoint"])
+    def test_estimate_belief_search_range_near_the_largest_float(self, lines, want, exact,
+                                                                 tmp_path, capsys):
+        # The span used to become a NaN axis and the midpoint inf; both runs
+        # ended "error: mu1 must be finite".
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(REDUCED_CFG + lines)
+        qcsv = tmp_path / "qs.csv"
+        qcsv.write_text("x1,x2\n-4,2\n2,-4\n")
+        code = main(["estimate-belief", "--queries", str(qcsv), "--config", str(cfg)] + exact)
+        got = capsys.readouterr()
+        if want is not None:
+            assert (code, got) == (2, want)
+        else:
+            assert (code, got.err) == (0, "")
+            assert all(math.isfinite(float(v)) for v in got.out.split())
+
+    def test_estimate_belief_exact_at_huge_rationality_runs(self, tmp_path, capsys):
+        # Every exact score used to be inf - inf = NaN, and the run printed row 0.
+        cfg = tmp_path / "sharp.cfg"
+        cfg.write_text(REDUCED_CFG + "agent.beta_a = 1e308\n")
+        qcsv = tmp_path / "qs.csv"
+        qcsv.write_text("x1,x2\n-4,2\n2,-4\n-6,6\n0,4\n4,-2\n")
+        code = main(["estimate-belief", "--exact-likelihood", "--queries", str(qcsv),
+                     "--config", str(cfg)])
+        got = capsys.readouterr()
+        assert (code, got.err) == (0, "")
+        assert all(math.isfinite(float(v)) for v in got.out.split())
 
     def test_intent_bf_matches_library(self, capsys):
         code = main(["intent-bf", "--query=-3,1"])

@@ -307,6 +307,15 @@ class TestSoftmaxPolicy:
             probs = softmax_policy(rng.normal(size=50), rng.uniform(0, 200))
             assert abs(float(probs.sum()) - 1.0) <= 1e-12
 
+    def test_matrix_rows_get_the_bits_of_one_row_calls(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            u = rng.normal(0.0, rng.uniform(0.01, 100.0),
+                           (int(rng.integers(1, 6)), int(rng.integers(1, 300))))
+            beta = float(rng.choice([0.0, 0.5, 1.0, 50.0, 1e3]))
+            want = np.stack([softmax_policy(row, beta) for row in u])
+            assert softmax_policy(u, beta).tobytes() == want.tobytes()
+
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             softmax_policy(np.array([]), 1.0)
