@@ -175,9 +175,10 @@ def _summed_objective(axes: Sequence[np.ndarray], lik1: np.ndarray,
     density is floored at ``DENSITY_FLOOR`` before it is mixed, and a row with
     no representable grid mass scores -inf.  A row mixes ``p * phi_a +
     (1 - p) * phi_b``, so ``S = sum phi``, ``A[q] = phi . L_q`` and
-    ``B[q] = phi . H_b(L_q)`` are taken once per component; a row needs only
-    ``Z = p S_a + (1 - p) S_b`` and its mixes of ``A`` and ``B`` over ``Z``,
-    broadcast over blocks of whole (mu1, mu2) pairs, ``_SEARCH_CHUNK`` rows or so.
+    ``B[q] = phi . H_b(L_q)`` are taken once per component and weighted by
+    ``p`` or ``1 - p`` once per pass; a row needs only ``Z = p S_a + (1 - p) S_b``
+    and its mixes of ``A`` and ``B`` over ``Z``, broadcast over blocks of whole
+    (mu1, mu2) pairs, ``_SEARCH_CHUNK`` rows or so, and finished in place.
     """
     mu1, mu2, s1, s2, p = axes
     n = lik1.shape[0]
@@ -195,17 +196,25 @@ def _summed_objective(axes: Sequence[np.ndarray], lik1: np.ndarray,
     s_a, a_a, b_a = terms(mu1, s1, (mu1.size, s1.size, 1, 1))
     s_b, a_b, b_b = terms(mu2, s2, (mu2.size, 1, s2.size, 1))
     q = 1.0 - p
+    s_a, s_b = p * s_a, q * s_b
+    a_a, b_a = p[:, None] * a_a, p[:, None] * b_a
+    a_b, b_b = q[:, None] * a_b, q[:, None] * b_b
     n_pairs = mu1.size * mu2.size
     step = max(1, _SEARCH_CHUNK // (s1.size * s2.size * p.size))
     out = []
     for start in range(0, n_pairs, step):
         i, j = np.divmod(np.arange(start, min(start + step, n_pairs)), mu2.size)
-        norm = p * s_a[i] + q * s_b[j]
+        norm = s_a[i] + s_b[j]
         empty = norm <= 0.0
-        norm = np.where(empty, 1.0, norm)[..., None]
-        p1 = (p[:, None] * a_a[i] + q[:, None] * a_b[j]) / norm
-        h = (p[:, None] * b_a[i] + q[:, None] * b_b[j]) / norm
-        total = np.einsum("bn->b", (_binary_entropy(p1) - h).reshape(empty.size, n))
+        norm[empty] = 1.0
+        norm = norm[..., None]
+        p1 = a_a[i] + a_b[j]
+        p1 /= norm
+        h = b_a[i] + b_b[j]
+        h /= norm
+        gain = _binary_entropy(p1)
+        gain -= h
+        total = np.einsum("bn->b", gain.reshape(empty.size, n))
         total[empty.ravel()] = -np.inf
         out.append(total)
     return np.concatenate(out).reshape(mu1.size, mu2.size, s1.size, s2.size, p.size)
@@ -227,7 +236,10 @@ def _coarse_axes(ranges: Sequence[ParamRange]) -> list[np.ndarray]:
 
 # Exact mode, from here to :func:`_exact_objective`.  Its bits decide the
 # rounding ties pinned by the benchmark reference, so this block stays frozen
-# until that reference is regenerated.
+# until that reference is regenerated.  So it keeps scipy's ``xlogy`` and
+# ``logsumexp`` on purpose: numpy's vectorized log (``inference._xlogx``)
+# differs from them in last bits, and a last bit here can swap two tied
+# candidates.
 def _mixture_mass_batch(params: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Normalized grid mass for a (B, 5) batch of mixture parameters.
 

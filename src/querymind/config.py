@@ -13,7 +13,7 @@ from dataclasses import replace
 from functools import reduce
 from typing import Callable
 
-from .model import MIN_SIGMA, REWARD_FORMS
+from .model import MIN_SIGMA, REWARD_FORMS, InvalidInputError
 from .experiments import _SELECTION_MODES, ConfigError, ScenarioConfig
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
@@ -92,26 +92,32 @@ def config_values(cfg: ScenarioConfig) -> dict[str, object]:
     return {key: reduce(getattr, path, cfg) for key, (path, *_) in _KEYS.items()}
 
 
-def _replace_paths(obj, changes: dict[tuple[str, ...], object]):
+def _replace_paths(obj, changes: dict[tuple[str, ...], object], parent: tuple[str, ...] = ()):
     """``dataclasses.replace`` at nested field paths.
 
     Paths that share a parent are applied together, so each nested dataclass
-    is rebuilt (and validated) once, in its final state.
+    is rebuilt (and validated) once, in its final state.  Every key has passed
+    its own check by then, so a nested dataclass can only reject a relation
+    between its float bounds (a range or a grid): its error is raised as a
+    :class:`ConfigError` that starts with the keys of those bounds.
     """
     by_field: dict[str, dict[tuple[str, ...], object]] = {}
     for (name, *rest), value in changes.items():
         by_field.setdefault(name, {})[tuple(rest)] = value
-    return replace(obj, **{
-        name: sub[()] if () in sub else _replace_paths(getattr(obj, name), sub)
-        for name, sub in by_field.items()})
+    fields = {name: sub[()] if () in sub else _replace_paths(getattr(obj, name), sub,
+                                                             parent + (name,))
+              for name, sub in by_field.items()}
+    try:
+        return replace(obj, **fields)
+    except InvalidInputError as exc:
+        bounds = [key for key, (path, conv, *_) in _KEYS.items()
+                  if path[:-1] == parent and conv is _finite_float]
+        raise ConfigError(f"{', '.join(bounds)}: {exc}") from exc
 
 
 def _build_config(values: dict[str, object]) -> ScenarioConfig:
-    try:
-        return _replace_paths(ScenarioConfig(),
-                              {_KEYS[key][0]: value for key, value in values.items()})
-    except (ValueError, ConfigError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return _replace_paths(ScenarioConfig(),
+                          {_KEYS[key][0]: value for key, value in values.items()})
 
 
 def default_config() -> ScenarioConfig:

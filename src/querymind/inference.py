@@ -12,6 +12,10 @@ products of the belief mass with a cached, read-only table of the answer
 likelihoods ``L`` and their binary entropies ``H_b(L)``.  The table holds only
 the pairs with ``x1 < x2``; a swapped pair has the same gain and a diagonal
 pair has none.
+
+Entropies take ``x ln x`` from :func:`_xlogx`, numpy's vectorized (SIMD)
+``np.log``.  Like ``np.exp`` in :func:`softmax_policy`, its last bits can
+depend on the CPU features numpy dispatches to, never on the thread count.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .model import (
     ABSOLUTE_DISTANCE,
@@ -140,9 +143,18 @@ def posterior_update(b: GridBelief, q: Query, y: int, form: str = ABSOLUTE_DISTA
     return GridBelief(b.grid, unnorm / total)
 
 
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """``x ln x`` elementwise for ``x`` in [0, 1]: exactly 0 at 0, NaN through."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.zeros_like(x)
+    np.log(x, out=out, where=x > 0)
+    out *= x
+    return out
+
+
 def entropy(b: GridBelief) -> float:
     """Shannon entropy of the grid mass in nats."""
-    return float(-np.sum(xlogy(b.mass, b.mass)))
+    return float(-np.sum(_xlogx(b.mass)))
 
 
 def info_gain(b: GridBelief, q: Query, y: int, form: str = ABSOLUTE_DISTANCE) -> float:
@@ -170,8 +182,7 @@ def expected_info_gain(b: GridBelief, q: Query, form: str = ABSOLUTE_DISTANCE) -
 def _binary_entropy(p: np.ndarray) -> np.ndarray:
     """Entropy in nats of a binary answer with ``P(y=1) = p``, clipped to [0, 1]."""
     p = np.clip(p, 0.0, 1.0)
-    q = 1.0 - p
-    return -(xlogy(p, p) + xlogy(q, q))
+    return -(_xlogx(p) + _xlogx(1.0 - p))
 
 
 @functools.lru_cache(maxsize=8)

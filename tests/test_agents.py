@@ -8,9 +8,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 import querymind
-from querymind import agents
+from querymind import agents, inference
 from querymind.model import (
     MIN_SIGMA,
     REWARD_FORMS,
@@ -533,17 +534,19 @@ class TestSeparableSummedKernel:
         half = _summed_objective(axes[:4] + [axes[4][1::2]], lik1, TG.points)
         assert whole[..., 1::2].tobytes() == half.tobytes()
 
-    # sha256 of the objective bytes of _summed_digests' grids, computed with
-    # the row-by-row kernel that _summed_objective replaced.
+    # sha256 of the objective bytes of _summed_digests' grids.  The four
+    # dataset digests hold the bits of numpy's log in x ln x (inference._xlogx);
+    # the diagonal and unrepresentable ones match the row-by-row kernel that
+    # _summed_objective replaced.
     DIGESTS = {
         "fig2-absolute_distance":
-            "a3050fdf7339e0462f5a4bfbd80bc1070c0a5afdb8d9191608243f1b738d43b7",
+            "9e3f9765aeb29f57e6973ac4dab3ecd5de571750df9e767db99cc454c8693838",
         "fig2-squared_distance":
-            "7f697416b9cd50b4cdd3665306d8c2e72825e39fb60c7af76560dac4ed78d7ac",
+            "1895768cb7a4eed18ee2ece6676eb7205a48e056fe0111418eb502cb96a151cd",
         "fig3-absolute_distance":
-            "1b9707be272e5c8ff3083aa7a331b5915314324c8e3c3fe398298571676a9bfb",
+            "48da46afdb0e25a00ad164499c8b10fd8a54e0648f5b07a0806301628fea46da",
         "fig3-squared_distance":
-            "83a1fb4d8442bf2af51dbfc879258932d522fa75d339116301572abb63c742f4",
+            "af8b74df8147a566718ca1a18ad7e7d8508e6004e56290fd6e8d7f3f982b8c57",
         "diagonal": "26fc43b33daf0ab1ba978d8326fe61807118a73b6acb326b3d203019239b0227",
         "unrepresentable": "90b1edebb5e624dacc10b2add612001d9e10eca78f0a9a2d0651cd41f45c44c8",
     }
@@ -560,6 +563,34 @@ class TestSeparableSummedKernel:
             done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                   capture_output=True, text=True)
             assert json.loads(done.stdout) == self.DIGESTS
+
+    @pytest.mark.parametrize("form", REWARD_FORMS)
+    def test_numpy_log_moves_only_last_bits(self, form, monkeypatch):
+        # Every pass of the fig2 and fig3 searches of seeds 0-2, scored as
+        # shipped and with scipy's xlogy in place of numpy's log in x ln x.
+        summed = agents._summed_objective
+        passes = []
+
+        def record(*args):
+            values = summed(*args)
+            passes.append((args, values))
+            return values
+
+        monkeypatch.setattr(agents, "_summed_objective", record)
+        for seed in range(3):
+            for base in (replace(default_config(), seed=seed), bimodal_config(seed)):
+                cfg = replace(base, reward_form=form)
+                queries = sample_queries(cfg, discretize_belief(cfg.prior, cfg.theta_grid))
+                mle_belief(queries, cfg.mle, cfg.query_grid, cfg.theta_grid, form, False,
+                           cfg.beta_a)
+        assert len(passes) == 6 * (1 + default_config().mle.n_refine_iters)
+        monkeypatch.setattr(inference, "_xlogx", lambda x: xlogy(x, x))
+        for args, got in passes:
+            want = summed(*args)
+            finite = np.isfinite(want)
+            assert np.array_equal(got[~finite], want[~finite])
+            assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * np.abs(want[finite]))
+            assert np.argmax(got) == np.argmax(want)
 
     @pytest.mark.parametrize("cfg", [default_config(), bimodal_config(0)], ids=["fig2", "fig3"])
     def test_full_scale_summed_estimate_is_pinned(self, cfg):
@@ -1100,13 +1131,13 @@ class TestPinnedLadderBits:
     }
     INTENT = {
         (2, "absolute_distance"):
-            "1a90e5675ea0e16de254ab5589758cbde5a21a349de7355d5ad84ccdb6211ffd",
+            "c64ae895529f3f010438414a2fa572b4ddb2266d4083efb910c23cbbced536a7",
         (4, "absolute_distance"):
-            "d525c84221b25695d11deffb7137d902dd7c578dae69bf887bd76006fb13ec3e",
+            "1b37bc91dc42c22d3d481bf3aa9ff97c4b1c9d43368d9c0dfdecb176d99bb6a2",
         (2, SQUARED_DISTANCE):
-            "f7cb06a568c6391615ad107810f1cd6814f76d63b4596953702732cdd57e8ef1",
+            "d0934df026bbaab5853eedfa97067a198bb0baeab9218b1f0f4cc8e329156869",
         (4, SQUARED_DISTANCE):
-            "790b04efe9b70a96776976e79643ffec7ab1cdbff1da77be255de9d6b7b3d8ca",
+            "eac7b860e11bfda4e85e246492d82eb6ad60b7ff11bef8abff5595e099926b20",
     }
 
     @staticmethod

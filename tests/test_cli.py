@@ -96,8 +96,10 @@ class TestExitCodes:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("lines, error", [
-        ("grid.theta_lo = -1e308\ngrid.theta_hi = 1e308\n", "grid span"),
-        ("grid.query_lo = -1e308\ngrid.query_hi = 1e308\n", "query grid span"),
+        ("grid.theta_lo = -1e308\ngrid.theta_hi = 1e308\n",
+         "grid.theta_lo, grid.theta_hi: grid span"),
+        ("grid.query_lo = -1e308\ngrid.query_hi = 1e308\n",
+         "grid.query_lo, grid.query_hi: query grid span"),
     ], ids=["theta", "query"])
     def test_overflowing_grid_span_is_runtime_error(self, lines, error, tmp_path, capsys):
         # hi - lo overflowed, so every grid point was NaN and a later check
@@ -108,6 +110,22 @@ class TestExitCodes:
         assert main(["eig-map", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr() == (
             "", f"error: {error} hi - lo overflows, got [-1e+308, 1e+308]\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, error", [
+        ("mle.sigma1_lo = 3", "mle.sigma1_lo, mle.sigma1_hi: range lo 3.0 > hi 2.0"),
+        ("grid.theta_lo = 10",
+         "grid.theta_lo, grid.theta_hi: grid needs lo < hi, got [10.0, 6.0]"),
+        ("grid.query_hi = -7",
+         "grid.query_lo, grid.query_hi: query grid needs feature_lo < feature_hi"),
+    ], ids=["search-range", "theta-grid", "query-grid"])
+    def test_range_error_names_its_keys(self, line, error, tmp_path, capsys):
+        # These messages used to end with the range's own words alone.
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(FAST_CFG + line + "\n")
+        out = tmp_path / "out"
+        assert main(["reproduce", "fig2", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
         assert not out.exists()
 
     def test_help_exits_zero(self):
@@ -271,7 +289,8 @@ class TestEstimateAndIntent:
     @pytest.mark.parametrize("exact", [[], ["--exact-likelihood"]])
     @pytest.mark.parametrize("lines, want", [
         ("mle.mu1_lo = -1e308\nmle.mu1_hi = 1e308\n",
-         ("", "error: range span hi - lo overflows, got [-1e+308, 1e+308]\n")),
+         ("", "error: mle.mu1_lo, mle.mu1_hi: range span hi - lo overflows, "
+              "got [-1e+308, 1e+308]\n")),
         ("mle.mu1_count = 1\nmle.mu1_lo = 1e308\nmle.mu1_hi = 1.5e308\n", None),
     ], ids=["span", "midpoint"])
     def test_estimate_belief_search_range_near_the_largest_float(self, lines, want, exact,

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, xlogy
 
 import querymind
 from querymind.agents import l2_query_policy
@@ -26,6 +26,7 @@ from querymind.model import (
 from querymind.inference import (
     QueryGrid,
     QueryPolicy,
+    _xlogx,
     answer_likelihoods,
     eig_map,
     entropy,
@@ -116,6 +117,30 @@ class TestEntropy:
         expected = -(0.25 * math.log(0.25) + 0.75 * math.log(0.75))
         assert entropy(b) == pytest.approx(expected, abs=1e-12)
         assert entropy(b) == pytest.approx(0.562335, abs=1e-6)
+
+
+class TestXLogX:
+    """numpy's vectorized ``x ln x`` against scipy's ``xlogy(x, x)`` as the oracle."""
+
+    def test_within_two_ulps_of_scipy(self):
+        rng = np.random.default_rng(16)
+        tiny = np.finfo(np.float64).tiny
+        x = np.concatenate([
+            1.0 - rng.uniform(0.0, 1.0, 200_000),          # uniform on (0, 1]
+            1.0 - rng.uniform(0.0, 1e-6, 10_000),          # within 1e-6 of 1
+            rng.uniform(0.0, 1.0, 10_000) * tiny,          # subnormals
+            np.geomspace(5e-324, tiny, 2_000),
+            [5e-324, 1e-323, tiny, 1.0],
+        ])
+        got, want = _xlogx(x), xlogy(x, x)
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+        assert _xlogx(np.array([1.0]))[0] == 0.0
+
+    def test_zero_gives_exactly_zero_and_nan_propagates(self):
+        got = _xlogx(np.array([0.0, np.nan, 0.5, 0.0]))
+        assert got[0] == 0.0 and got[3] == 0.0
+        assert math.isnan(got[1])
+        assert got[2] == pytest.approx(0.5 * math.log(0.5), rel=1e-15)
 
 
 class TestInfoGain:
