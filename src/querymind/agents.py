@@ -260,13 +260,9 @@ def _mixture_mass_batch(params: np.ndarray, points: np.ndarray) -> np.ndarray:
             + (1.0 - pz) * (inv_sqrt_2pi / s2) * np.exp(-0.5 * z2 * z2)
     dens = np.where(dens < DENSITY_FLOOR, 0.0, dens)
     total = np.sum(dens, axis=1)
-    bad = total <= 0.0
-    if np.any(bad):
-        # Unrepresentable candidates score -inf later instead of erroring out.
-        total = np.where(bad, 1.0, total)
-        dens[bad] = 0.0
-    mass = dens / total[:, None]
-    return mass
+    # Unrepresentable candidates keep all-zero mass and score -inf later.
+    total[total <= 0.0] = 1.0
+    return dens / total[:, None]
 
 
 def _summed_eig_batch(mass: np.ndarray, lik1: np.ndarray) -> np.ndarray:
@@ -549,14 +545,15 @@ def l3_teaching_utility(tc: LabeledExample, theta_true: float, prior: GridBelief
     answer of zero likelihood under the prior has utility 0."""
     q = tc.query
     return float(_teaching_utility_table(theta_true, [prior], None,
-                                         np.array([[q.x1, q.x2]]), form)[0, tc.y])
+                                         np.array([[q.x1, q.x2]]), form)[0][0, tc.y])
 
 
 def _teaching_utility_table(theta_true: float, priors: Sequence[GridBelief],
                             weights: Sequence[float] | None,
-                            cands: np.ndarray, form: str) -> np.ndarray:
+                            cands: np.ndarray, form: str) -> tuple[np.ndarray, np.ndarray]:
     """(C, 2) ensemble-averaged posterior mass on the true ideal point's cell
-    after each candidate query is answered ``y = 0`` (column 0) or 1.  An
+    after each candidate query is answered ``y = 0`` (column 0) or 1, and the
+    (C, 2) mask of the answers that some prior gives nonzero likelihood.  An
     answer of zero likelihood under a prior adds utility 0 for that prior."""
     if len(priors) == 0:
         raise InvalidInputError("need at least one learner-belief particle")
@@ -565,6 +562,7 @@ def _teaching_utility_table(theta_true: float, priors: Sequence[GridBelief],
     else:
         w = _require_probabilities(weights, len(priors), "weights")
     total = np.zeros((cands.shape[0], 2))
+    possible = np.zeros(total.shape, dtype=bool)
     for weight, prior in zip(w, priors):
         target = prior.grid.index_of(theta_true)
         lik1 = likelihood_matrix(prior.grid.points, cands, form)
@@ -573,7 +571,8 @@ def _teaching_utility_table(theta_true: float, priors: Sequence[GridBelief],
             s = np.sum(t, axis=1)
             total[:, y] += weight * np.divide(t[:, target], s, out=np.zeros_like(s),
                                               where=s > 0)
-    return total
+            possible[:, y] |= s > 0
+    return total, possible
 
 
 def l3_teaching_utilities(theta_true: float, priors: Sequence[GridBelief],
@@ -585,7 +584,7 @@ def l3_teaching_utilities(theta_true: float, priors: Sequence[GridBelief],
     candidate ``c``.  Expectation is over the teacher's uncertainty about the
     learner's belief, given as grid beliefs with weights.
     """
-    return _teaching_utility_table(theta_true, priors, weights, qg.candidates, form).ravel()
+    return _teaching_utility_table(theta_true, priors, weights, qg.candidates, form)[0].ravel()
 
 
 def l3_teaching_policy(theta_true: float, priors: Sequence[GridBelief],
@@ -600,10 +599,14 @@ def l3_answer_policy(theta_true: float, q: Query, priors: Sequence[GridBelief],
                      form: str = ABSOLUTE_DISTANCE) -> float:
     """Probability that a strategic teacher answers ``y = 1`` to a fixed query.
 
-    An answer that no prior can explain has utility 0, so the result is
-    finite even when one answer is impossible under every prior.
+    An answer that no prior can explain (zero likelihood under every prior)
+    gets probability 0, so the teacher never gives an answer that its model
+    of the learner cannot take; otherwise the softmax of the two utilities.
     """
-    u = _teaching_utility_table(theta_true, priors, weights, np.array([[q.x1, q.x2]]), form)
+    u, possible = _teaching_utility_table(theta_true, priors, weights,
+                                          np.array([[q.x1, q.x2]]), form)
+    if not possible[0].all():
+        return float(possible[0, 1])
     return float(softmax_policy(u[0], beta_h)[1])
 
 

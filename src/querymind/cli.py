@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__
 from .model import (
     DegenerateBeliefError,
-    InvalidInputError,
     BeliefParams,
     Query,
     discretize_belief,
@@ -57,8 +56,8 @@ INTENT_FIXTURE = (
     BeliefParams(-3.0, 1.0, 3.0, 1.0, 0.1),
 )
 
-_RUNTIME_ERRORS = (ConfigError, InvalidInputError, DegenerateBeliefError,
-                   ImpossibleEvidenceError, OSError, ValueError)
+# ValueError covers ConfigError and InvalidInputError.
+_RUNTIME_ERRORS = (ValueError, DegenerateBeliefError, ImpossibleEvidenceError, OSError)
 
 
 class _UsageError(Exception):

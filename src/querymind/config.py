@@ -115,11 +115,6 @@ def _replace_paths(obj, changes: dict[tuple[str, ...], object], parent: tuple[st
         raise ConfigError(f"{', '.join(bounds)}: {exc}") from exc
 
 
-def _build_config(values: dict[str, object]) -> ScenarioConfig:
-    return _replace_paths(ScenarioConfig(),
-                          {_KEYS[key][0]: value for key, value in values.items()})
-
-
 def default_config() -> ScenarioConfig:
     return ScenarioConfig()
 
@@ -146,7 +141,8 @@ def parse_config_text(text: str, base: ScenarioConfig | None = None,
         if check is not None and not check(value):
             raise ConfigError(f"{source}:{lineno}: {key} {constraint}, got {raw_value}")
         values[key] = value
-    return _build_config(values)
+    return _replace_paths(ScenarioConfig(),
+                          {_KEYS[key][0]: value for key, value in values.items()})
 
 
 def parse_config(path: str | os.PathLike, base: ScenarioConfig | None = None) -> ScenarioConfig:

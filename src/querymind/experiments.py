@@ -143,8 +143,10 @@ class RunReport:
 
 def _report_value(value):
     """JSON form of a report field: an array or grid belief becomes a list of
-    floats, a labeled example ``{x1, x2, y}``, any other dataclass goes through
-    :func:`_config_dict`, and lists and tuples are converted per element."""
+    floats, a labeled example ``{x1, x2, y}``, a dataclass whose fields are all
+    scalars (a search range, a query) a list in field order and any other
+    dataclass (the ``config`` section) a dict by field name, and lists and
+    tuples are converted per element."""
     if isinstance(value, GridBelief):
         value = value.mass
     if isinstance(value, np.ndarray):
@@ -152,19 +154,13 @@ def _report_value(value):
     if isinstance(value, LabeledExample):
         return {"x1": value.query.x1, "x2": value.query.x2, "y": value.y}
     if is_dataclass(value):
-        return _config_dict(value)
+        values = {f.name: getattr(value, f.name) for f in fields(value)}
+        if not any(is_dataclass(v) for v in values.values()):
+            return [_report_value(v) for v in values.values()]
+        return {k: _report_value(v) for k, v in values.items()}
     if isinstance(value, (list, tuple)):
         return [_report_value(v) for v in value]
     return value
-
-
-def _config_dict(obj):
-    """The ``config`` section of ``report.json``: a dataclass whose fields are
-    all scalars becomes a list in field order, any other one a dict."""
-    values = {f.name: getattr(obj, f.name) for f in fields(obj)}
-    if not any(is_dataclass(v) for v in values.values()):
-        return list(values.values())
-    return {k: _config_dict(v) if is_dataclass(v) else v for k, v in values.items()}
 
 
 def sample_queries(cfg: ScenarioConfig, belief: GridBelief) -> list[Query]:
@@ -215,12 +211,14 @@ def _identifiability(cfg: ScenarioConfig, kind: str) -> RunReport:
 
 
 def run_unimodal_identifiability(cfg: ScenarioConfig) -> RunReport:
-    """Recover a dominantly unimodal belief from its own sampled queries."""
+    """Recover a dominantly unimodal belief from its own sampled queries, with
+    the estimate's mode locations and group weight."""
     return _identifiability(cfg, "unimodal_identifiability")
 
 
 def run_bimodal_identifiability(cfg: ScenarioConfig) -> RunReport:
-    """Recover a two-group belief; also reports mode locations and group weight."""
+    """Recover a two-group belief, with the estimate's mode locations and group
+    weight, as the unimodal study reports them too."""
     return _identifiability(cfg, "bimodal_identifiability")
 
 

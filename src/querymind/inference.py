@@ -86,14 +86,14 @@ class QueryGrid:
         x1, x2 = self.axis[list(divmod(index, self.n_per_axis))]
         return Query(float(x1), float(x2))
 
-    def index_of(self, q: Query, atol: float = 1e-9) -> int:
-        """Candidate index of a query that lies on the grid."""
+    def index_of(self, q: Query) -> int:
+        """Candidate index of a query that lies on the grid, within 1e-9."""
         step = (self.feature_hi - self.feature_lo) / (self.n_per_axis - 1)
         i, j = (_nearest_index(x - self.feature_lo, step, self.n_per_axis) for x in (q.x1, q.x2))
         if i is None or j is None:
             raise InvalidInputError(f"query {q} outside grid")
         ax = self.axis
-        if abs(ax[i] - q.x1) > atol or abs(ax[j] - q.x2) > atol:
+        if abs(ax[i] - q.x1) > 1e-9 or abs(ax[j] - q.x2) > 1e-9:
             raise InvalidInputError(f"query {q} not on the candidate grid")
         return i * self.n_per_axis + j
 
@@ -139,7 +139,7 @@ def posterior_update(b: GridBelief, q: Query, y: int, form: str = ABSOLUTE_DISTA
     total = np.sum(unnorm)
     if total <= 0.0:
         raise ImpossibleEvidenceError(
-            f"answer y={y} to {q} has zero likelihood everywhere (mass bug?)")
+            f"answer y={y} to {q} has zero likelihood under the belief")
     return GridBelief(b.grid, unnorm / total)
 
 

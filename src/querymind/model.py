@@ -248,12 +248,8 @@ def _normal_density(theta, mu, sigma):
 def mixture_density(bp: BeliefParams, theta):
     """Mixture density at ``theta`` (scalar or array)."""
     th = np.asarray(theta, dtype=np.float64)
-    # Both components in one call, stacked on a leading axis, so np.errstate
-    # is entered once.
-    shape = (2,) + (1,) * th.ndim
-    d1, d2 = _normal_density(th, np.array([bp.mu1, bp.mu2]).reshape(shape),
-                             np.array([bp.sigma1, bp.sigma2]).reshape(shape))
-    out = bp.p_z * d1 + (1.0 - bp.p_z) * d2
+    out = (bp.p_z * _normal_density(th, bp.mu1, bp.sigma1)
+           + (1.0 - bp.p_z) * _normal_density(th, bp.mu2, bp.sigma2))
     if np.ndim(theta) == 0:
         return float(out)
     return out

@@ -1006,6 +1006,18 @@ class TestAnswerPolicy:
             p_swapped = l3_answer_policy(2.0, q.swapped(), [prior], None, 50.0)
             assert abs(p + p_swapped - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("form", REWARD_FORMS)
+    def test_answer_impossible_under_every_prior_is_never_given(self, form):
+        # Against x1 = -1e10 every grid point's likelihood of y = 1 is exactly
+        # 1, so y = 0 has zero likelihood under both priors.  Its utility, 0,
+        # used to enter the softmax beside a small one, and the teacher gave
+        # the impossible answer about half the time.
+        priors = [discretize_belief(DOMINANT_LEFT, TG), uniform_belief(TG)]
+        q = Query(-1e10, 6.0)
+        assert l3_answer_policy(2.0, q, priors, None, 50.0, form) == 1.0
+        assert l3_answer_policy(2.0, q.swapped(), priors, None, 50.0, form) == 0.0
+        assert l3_answer_policy(2.0, q, priors, [0.9, 0.1], 0.0, form) == 1.0
+
     def test_bad_weights_rejected(self):
         prior = discretize_belief(DOMINANT_LEFT, TG)
         q = Query(-3.0, 2.0)

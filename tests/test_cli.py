@@ -213,6 +213,20 @@ class TestTeachAndLoop:
         assert len(traces[0].splitlines()) == 5
         assert traces[0] == traces[1]
 
+    @pytest.mark.parametrize("query_lo", ["-1e10", "-300"])
+    def test_strategic_teacher_gives_only_answers_the_learner_can_take(
+            self, query_lo, tmp_path, capsys):
+        # On these query grids the level-3 teacher's model of the learner
+        # finds one answer to some queries impossible.  The teacher used to
+        # give it anyway, and the learner's update exited 2.
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(f"grid.query_points = 7\ngrid.query_lo = {query_lo}\n")
+        for seed in range(6):
+            out = tmp_path / f"loop{seed}"
+            assert main(["loop", "--teacher", "3", "--rounds", "5", "--seed", str(seed),
+                         "--out", str(out), "--config", str(cfg)]) == 0
+            assert capsys.readouterr().err == ""
+
     def test_teach_overflowing_theta_true_is_runtime_error(self, tmp_path, capsys):
         # Locating theta_true on the grid used to raise OverflowError.
         cfg = tmp_path / "far.cfg"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -234,6 +235,39 @@ class TestMixtureDensity:
             bp = BeliefParams(rng.uniform(-6, 6), rng.uniform(0.1, 3),
                               rng.uniform(-6, 6), rng.uniform(0.1, 3), rng.uniform(0, 1))
             assert np.all(mixture_density(bp, np.linspace(-10, 10, 101)) >= 0.0)
+
+
+class TestPinnedMixtureBits:
+    """The bits of ``mixture_density`` and ``discretize_belief`` on priors past
+    the packaged ones: standard deviations from ``MIN_SIGMA`` to 1e-3, means
+    hundreds of units off the grid whose squared z-scores overflow, and group
+    weights 0 and 1.  The digests are sha256 of the float64 bytes."""
+
+    PRIORS = (
+        BeliefParams(0.0, MIN_SIGMA, 0.5, 1.0, 0.5),
+        BeliefParams(-3.0, 1e-3, 2.0, 1e-3, 0.3),
+        BeliefParams(-400.0, 1e-200, 1.0, 0.5, 0.2),
+        BeliefParams(-2.0, 1.0, 300.0, MIN_SIGMA, 1.0),
+        BeliefParams(-300.0, 2.0, 1.5, 0.7, 0.0),
+        BeliefParams(350.0, 1e-250, -5.95, 1e-3, 0.0),
+    )
+    THETAS = (-400.0, -300.0, -6.0, -5.95, -3.0, -2.0, 0.0, 0.5, 1.5, 2.0, 6.0, 300.0, 350.0)
+    MASS_DIGEST = "b58200df474c8a6ee154b062cbe86646486954fc661630c10390eeeab6016270"
+    DENSITY_DIGEST = "60d6c18d3b947fc541c2eafae99664e2b2648cfbf80dfe9ec972e57c0c65d28a"
+
+    @staticmethod
+    def _digest(values) -> str:
+        return hashlib.sha256(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+    def test_grid_masses_are_pinned(self, default_grid):
+        masses = [discretize_belief(bp, default_grid).mass for bp in self.PRIORS]
+        assert all(np.all(np.isfinite(m)) for m in masses)
+        assert self._digest(masses) == self.MASS_DIGEST
+
+    def test_scalar_densities_are_pinned(self):
+        values = [mixture_density(bp, theta) for bp in self.PRIORS for theta in self.THETAS]
+        assert all(isinstance(v, float) and math.isfinite(v) for v in values)
+        assert self._digest(values) == self.DENSITY_DIGEST
 
 
 class TestDiscretizeBelief:
