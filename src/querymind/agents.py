@@ -118,8 +118,8 @@ class MleSearchConfig:
 
     Sigma ranges are given in sigma units but gridded uniformly in log space.
     Each refinement pass re-grids every parameter on a window around the
-    incumbent whose width shrinks by ``refine_shrink`` per pass; windows are
-    truncated so the search never leaves the coarse ranges.
+    incumbent whose width halves per pass; windows are truncated so the
+    search never leaves the coarse ranges.
     """
 
     mu1: ParamRange = ParamRange(-6.0, 0.0, 13)
@@ -128,13 +128,10 @@ class MleSearchConfig:
     sigma2: ParamRange = ParamRange(0.25, 2.0, 4)
     p_z: ParamRange = ParamRange(0.1, 0.9, 9)
     n_refine_iters: int = 3
-    refine_shrink: float = 0.5
 
     def __post_init__(self) -> None:
         if self.n_refine_iters < 0:
             raise InvalidInputError("n_refine_iters must be >= 0")
-        if not 0.0 < self.refine_shrink < 1.0:
-            raise InvalidInputError("refine_shrink must be in (0, 1)")
         if self.sigma1.lo < MIN_SIGMA or self.sigma2.lo < MIN_SIGMA:
             raise InvalidInputError(f"sigma ranges must start at >= {MIN_SIGMA!r}")
         if not 0.0 <= self.p_z.lo <= self.p_z.hi <= 1.0:
@@ -147,22 +144,9 @@ def l2_query_policy(b: GridBelief, qg: QueryGrid, beta_a: float,
     return QueryPolicy(qg, softmax_policy(eig_map(b, qg, form), beta_a))
 
 
-def l2_select_query(policy: QueryPolicy, mode: str = "sample",
-                    rng: np.random.Generator | None = None) -> Query:
-    """Realize one query from the policy.
-
-    ``sample`` draws by inverse CDF; ``argmax`` takes the most probable
-    candidate, breaking ties toward the lowest enumeration index.
-    """
-    if mode == "argmax":
-        idx = int(np.argmax(policy.probs))
-    elif mode == "sample":
-        if rng is None:
-            raise InvalidInputError("sample mode needs a random generator")
-        idx = sample_index(policy.probs, rng)
-    else:
-        raise InvalidInputError(f"unknown selection mode {mode!r}")
-    return policy.grid.query_at(idx)
+def l2_select_query(policy: QueryPolicy, rng: np.random.Generator) -> Query:
+    """Draw one query from the policy by inverse CDF."""
+    return policy.grid.query_at(sample_index(policy.probs, rng))
 
 
 def _summed_objective(axes: Sequence[np.ndarray], lik1: np.ndarray,
@@ -434,11 +418,12 @@ def mle_belief(queries: Sequence[Query], cfg: MleSearchConfig, qg: QueryGrid,
     """Maximum-likelihood belief attribution by grid search plus refinement.
 
     Scans the full coarse grid of canonical mixture parameters, then runs
-    ``n_refine_iters`` passes of the same-sized grid on shrinking windows
-    around the incumbent.  Returns the canonical best candidate; its score is
-    at least that of every coarse-grid point.  Ties resolve to the lowest
-    enumeration index.  If every candidate scores -inf (none has mass on
-    ``grid``), it raises :class:`DegenerateBeliefError` naming the ranges.
+    ``n_refine_iters`` passes of the same-sized grid on windows around the
+    incumbent that halve in width each pass.  Returns the canonical best
+    candidate; its score is at least that of every coarse-grid point.  Ties
+    resolve to the lowest enumeration index.  If every candidate scores -inf
+    (none has mass on ``grid``), it raises :class:`DegenerateBeliefError`
+    naming the ranges.
 
     A pass scores its axes with :func:`_summed_objective`, or the rows of
     :func:`_search_rows` with :func:`_exact_objective`, and reads the best
@@ -480,7 +465,7 @@ def mle_belief(queries: Sequence[Query], cfg: MleSearchConfig, qg: QueryGrid,
             best_value = float(values.flat[i])
             index = np.unravel_index(i, [ax.size for ax in axes])
             best_params = [ax[k] for ax, k in zip(axes, index)]
-        widths = [w * cfg.refine_shrink for w in widths]
+        widths = [0.5 * w for w in widths]
         axes = [np.linspace(*_clip_window(c, w, *b), r.count) if r.count > 1 else np.array([c])
                 for r, w, b, c in zip(ranges, widths, bounds, best_params)]
     if best_value == -np.inf:

@@ -114,7 +114,6 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_teach)
 
     p = sub.add_parser("loop", help="alternating query/answer rounds")
-    p.add_argument("--learner", type=int, default=2, help="learner level (2)")
     p.add_argument("--teacher", type=int, default=1, help="teacher level (1 or 3)")
     p.add_argument("--rounds", type=int, default=20)
     _add_common(p, exact=False)
@@ -246,7 +245,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_loop(args) -> int:
     cfg = _resolve_config(args)
     out = _ensure_out(args)
-    report = run_interaction_loop(cfg, args.learner, args.teacher, args.rounds)
+    report = run_interaction_loop(cfg, 2, args.teacher, args.rounds)
     files = []
     _emit(files, out, "trace.csv", write_trace_csv, report.trace)
     _finish(out, cfg, report, files)

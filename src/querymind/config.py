@@ -14,7 +14,7 @@ from functools import reduce
 from typing import Callable
 
 from .model import MIN_SIGMA, REWARD_FORMS, InvalidInputError
-from .experiments import _SELECTION_MODES, ConfigError, ScenarioConfig
+from .experiments import ConfigError, ScenarioConfig
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
                "yes": True, "no": False}
@@ -53,8 +53,6 @@ _KEYS: dict[str, tuple[tuple[str, ...], Callable, Callable | None, str]] = {
     "run.theta_true": (("theta_true",), _finite_float, *_ANY),
     "run.n_queries": (("n_queries",), int, *_AT_LEAST_1),
     "run.seed": (("seed",), int, *_ANY),
-    "run.selection": (("selection",), str, lambda v: v in _SELECTION_MODES,
-                      "must be 'sample' or 'argmax'"),
     "run.exact_likelihood": (("exact_likelihood",), _parse_bool, *_ANY),
     "agent.beta_a": (("beta_a",), _finite_float, *_NONNEGATIVE),
     "agent.beta_h": (("beta_h",), _finite_float, *_NONNEGATIVE),
@@ -82,8 +80,6 @@ _KEYS: dict[str, tuple[tuple[str, ...], Callable, Callable | None, str]] = {
     "mle.p_z_hi": (("mle", "p_z", "hi"), _finite_float, *_UNIT_INTERVAL),
     "mle.p_z_count": (("mle", "p_z", "count"), int, *_AT_LEAST_1),
     "mle.refine_iters": (("mle", "n_refine_iters"), int, *_NONNEGATIVE),
-    "mle.refine_shrink": (("mle", "refine_shrink"), _finite_float, lambda v: 0.0 < v < 1.0,
-                          "must be in (0, 1)"),
 }
 
 

@@ -25,7 +25,7 @@ from .model import (
     Query,
     ThetaGrid,
     discretize_belief,
-    sample_answer,
+    response_prob,
     uniform_belief,
 )
 from .inference import (
@@ -62,9 +62,6 @@ def derive_subseed(master_seed: int, label: str, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-_SELECTION_MODES = ("sample", "argmax")
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Fully resolved inputs of one experiment run."""
@@ -80,7 +77,6 @@ class ScenarioConfig:
     seed: int = 0
     mle: MleSearchConfig = MleSearchConfig()
     exact_likelihood: bool = False
-    selection: str = "sample"
 
     def __post_init__(self) -> None:
         for name in ("theta_true", "beta_a", "beta_h"):
@@ -88,8 +84,6 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.n_queries < 1:
             raise ConfigError(f"n_queries must be >= 1, got {self.n_queries}")
-        if self.selection not in _SELECTION_MODES:
-            raise ConfigError(f"selection must be one of {_SELECTION_MODES}")
         if self.reward_form not in REWARD_FORMS:
             raise ConfigError(f"reward form must be one of {REWARD_FORMS}")
         if self.beta_a < 0 or self.beta_h < 0:
@@ -167,7 +161,7 @@ def sample_queries(cfg: ScenarioConfig, belief: GridBelief) -> list[Query]:
     """Draw the scenario's query batch from the level-2 policy of ``belief``."""
     policy = l2_query_policy(belief, cfg.query_grid, cfg.beta_a, cfg.reward_form)
     rng = np.random.default_rng(derive_subseed(cfg.seed, "queries", 0))
-    return [l2_select_query(policy, cfg.selection, rng) for _ in range(cfg.n_queries)]
+    return [l2_select_query(policy, rng) for _ in range(cfg.n_queries)]
 
 
 def _nondiagonal_mask(qg: QueryGrid) -> np.ndarray:
@@ -286,13 +280,10 @@ def run_interaction_loop(cfg: ScenarioConfig, learner_level: int, teacher_level:
     rng_a = np.random.default_rng(derive_subseed(cfg.seed, "loop-answers", 0))
     for t in range(rounds):
         policy = l2_query_policy(belief, cfg.query_grid, cfg.beta_a, cfg.reward_form)
-        q = l2_select_query(policy, cfg.selection, rng_q)
-        if teacher_level == 1:
-            y = sample_answer(cfg.theta_true, q, cfg.reward_form, rng_a)
-        else:
-            p1 = l3_answer_policy(cfg.theta_true, q, [belief], None, cfg.beta_h,
-                                  cfg.reward_form)
-            y = 1 if rng_a.random() < p1 else 0
+        q = l2_select_query(policy, rng_q)
+        p1 = (response_prob(cfg.theta_true, q, cfg.reward_form) if teacher_level == 1 else
+              l3_answer_policy(cfg.theta_true, q, [belief], None, cfg.beta_h, cfg.reward_form))
+        y = 1 if rng_a.random() < p1 else 0
         belief = posterior_update(belief, q, y, cfg.reward_form)
         report.trace.append((t, q.x1, q.x2, y, entropy(belief)))
     report.timings["loop"] = time.perf_counter() - t0

@@ -1,8 +1,8 @@
 """Deterministic exports: CSV tables, SVG heatmaps, and run manifests.
 
 Every emitted byte is a pure function of the values passed in: reals print
-with 17 significant digits (lossless for float64), newlines are ``\\n``, and
-SVG geometry uses integer pixel coordinates.
+with 17 significant digits (lossless for float64) bar the manifest's fixed-width
+``timing.*`` seconds, newlines are ``\\n``, and SVG pixels are integers.
 """
 
 from __future__ import annotations
@@ -186,8 +186,9 @@ def write_manifest(path: str | os.PathLike, version: str, config_text: str,
                    timings: dict[str, float]) -> None:
     """Flat ``key = value`` manifest with stable key order.
 
-    Checksums cover every emitted file; ``timing.*`` keys carry wall-clock
-    seconds and are the only lines expected to differ between identical runs.
+    Checksums cover every emitted file.  ``timing.*`` keys carry wall-clock
+    seconds, the only lines expected to differ between identical runs, as
+    ``%.6e``: 12 characters, so identical runs write manifests of one size.
     """
     entries: dict[str, str] = {
         "tool.name": "querymind",
@@ -202,6 +203,6 @@ def write_manifest(path: str | os.PathLike, version: str, config_text: str,
         entries[f"output.{name}.sha256"] = sha256_file(out)
         entries[f"output.{name}.bytes"] = str(os.path.getsize(out))
     for step, seconds in timings.items():
-        entries[f"timing.{step}_seconds"] = fmt_real(seconds)
+        entries[f"timing.{step}_seconds"] = "%.6e" % seconds
     lines = [f"{key} = {entries[key]}" for key in sorted(entries)]
     _write_text("\n".join(lines) + "\n", path)

@@ -123,7 +123,7 @@ class TestL2Policy:
         b = discretize_belief(DOMINANT_LEFT, TG)
         policy = l2_query_policy(b, QG, 50.0)
         rng = np.random.default_rng(0)
-        queries = [l2_select_query(policy, "sample", rng) for _ in range(20)]
+        queries = [l2_select_query(policy, rng) for _ in range(20)]
         straddling = sum(min(q.x1, q.x2) < -3.0 < max(q.x1, q.x2) for q in queries)
         assert straddling >= 15
 
@@ -133,21 +133,14 @@ class TestL2Policy:
         probs = np.zeros(QG.n_candidates)
         probs[1234] = 1.0
         pol = QueryPolicy(QG, probs)
-        assert QG.index_of(l2_select_query(pol, "argmax")) == 1234
-        assert QG.index_of(l2_select_query(pol, "sample", np.random.default_rng(3))) == 1234
-
-    def test_argmax_tie_breaks_low_index(self):
-        from querymind.inference import QueryPolicy
-
-        pol = QueryPolicy(QG, np.full(QG.n_candidates, 1.0 / QG.n_candidates))
-        assert QG.index_of(l2_select_query(pol, "argmax")) == 0
+        assert QG.index_of(l2_select_query(pol, np.random.default_rng(3))) == 1234
 
     def test_sampled_sequence_reproducible(self):
         b = discretize_belief(DOMINANT_LEFT, TG)
         policy = l2_query_policy(b, QG, 50.0)
-        seq_a = [l2_select_query(policy, "sample", np.random.default_rng(11))
+        seq_a = [l2_select_query(policy, np.random.default_rng(11))
                  for _ in range(5)]
-        seq_b = [l2_select_query(policy, "sample", np.random.default_rng(11))
+        seq_b = [l2_select_query(policy, np.random.default_rng(11))
                  for _ in range(5)]
         assert seq_a == seq_b
 
@@ -192,7 +185,7 @@ class TestMleBelief:
         # greedily from that belief recover it within one refined cell.
         gen = BeliefParams(-6.0, 0.25, 6.0, 0.25, 0.5)
         policy = l2_query_policy(discretize_belief(gen, TG), QG, 50.0)
-        q = l2_select_query(policy, "argmax")
+        q = QG.query_at(int(np.argmax(policy.probs)))
         est = mle_belief([q] * 5, MleSearchConfig(), QG, TG)
         assert est.astuple() == gen.astuple()
 
@@ -203,7 +196,7 @@ class TestMleBelief:
     def test_generic_on_grid_generator_recovered(self):
         gen = BeliefParams(-3.0, 1.0, 3.0, 1.0, 0.9)
         policy = l2_query_policy(discretize_belief(gen, TG), QG, 50.0)
-        q = l2_select_query(policy, "argmax")
+        q = QG.query_at(int(np.argmax(policy.probs)))
         est = mle_belief([q] * 5, MleSearchConfig(), QG, TG)
         # One refined cell after three halvings of the coarse spacing.
         assert abs(est.mu1 - gen.mu1) <= 0.5 / 8 + 1e-9
@@ -223,7 +216,7 @@ class TestMleBelief:
                               p_z=ParamRange(0.1, 0.9, 5), n_refine_iters=2)
         for seed in range(3):
             rng = np.random.default_rng(seed)
-            queries = [l2_select_query(policy, "sample", rng) for _ in range(12)]
+            queries = [l2_select_query(policy, rng) for _ in range(12)]
             exact = mle_belief(queries, cfg, qg, tg, exact=True, beta_a=50.0)
             plain = mle_belief(queries, cfg, qg, tg, exact=False, beta_a=50.0)
             assert abs(exact.mu1 - gen.mu1) <= 1.25
@@ -613,7 +606,7 @@ def _summed_digests():
         bounds = [(math.log(r.lo), math.log(r.hi)) if log else (r.lo, r.hi)
                   for r, log in zip(ranges, agents._LOG_SCALED)]
         centre = [coarse[0][0], coarse[1][-1], coarse[2][0], coarse[3][0], coarse[4][4]]
-        window = [np.linspace(*agents._clip_window(c, m.refine_shrink * (hi - lo), lo, hi),
+        window = [np.linspace(*agents._clip_window(c, 0.5 * (hi - lo), lo, hi),
                               r.count) for c, (lo, hi), r in zip(centre, bounds, ranges)]
         for form in REWARD_FORMS:
             cfg = replace(base, reward_form=form)
@@ -830,8 +823,7 @@ class TestCoarseNormalizerCache:
         self._search(self.DATA_A, **change)
         assert self._info() == (0, 2)
 
-    @pytest.mark.parametrize("change", [{"n_refine_iters": 0}, {"n_refine_iters": 1},
-                                        {"refine_shrink": 0.25}])
+    @pytest.mark.parametrize("change", [{"n_refine_iters": 0}, {"n_refine_iters": 1}])
     def test_refinement_settings_hit(self, change):
         self._search(self.DATA_A)
         self._search(self.DATA_B, cfg=replace(self.CFG, **change))

@@ -88,6 +88,7 @@ class TestExitCodes:
         ["intent-bf", "--query=-2,2", "--exact-likelihood"],
         ["loop", "--rounds", "2", "--exact-likelihood", "--out", "x"],
         ["eig-map", "--exact-likelihood", "--out", "x"],
+        ["loop", "--learner", "2", "--rounds", "2", "--out", "x"],
     ])
     def test_unused_option_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -50,6 +50,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"<config>:2.*prior\.mu3"):
             parse_config_text("run.seed = 1\nprior.mu3 = 0\n")
 
+    @pytest.mark.parametrize("line", ["run.selection = sample", "mle.refine_shrink = 0.5"])
+    def test_retired_keys_are_unknown(self, line, tmp_path, capsys):
+        # The learner always samples its policy and refinement windows always
+        # halve, so neither setting is a key any more.
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=rf"^<config>:2: unknown key '{re.escape(key)}'$"):
+            parse_config_text(f"run.seed = 1\n{line}\n")
+        cfg = tmp_path / "retired.cfg"
+        cfg.write_text(f"run.seed = 1\n{line}\n")
+        assert main(["eig-map", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", f"error: {cfg}:2: unknown key '{key}'\n")
+
     def test_invariant_violation_names_key(self):
         with pytest.raises(ConfigError, match=r"prior\.sigma1"):
             parse_config_text("prior.sigma1 = -1\n")
@@ -89,7 +101,7 @@ class TestConfigParsing:
 
     def test_non_finite_floats_name_key_and_line(self):
         floats = [k for k, v in config_values(ScenarioConfig()).items() if isinstance(v, float)]
-        assert len(floats) == 23
+        assert len(floats) == 22
         for key in floats:
             for raw in ("nan", "inf", "-inf"):
                 with pytest.raises(ConfigError, match=rf"^<config>:2: {re.escape(key)}: "):
@@ -117,7 +129,7 @@ class TestConfigSchema:
     def test_every_leaf_field_has_exactly_one_key(self):
         paths = [path for path, *_ in _KEYS.values()]
         assert sorted(paths) == sorted(_leaf_paths(ScenarioConfig()))
-        assert len(set(paths)) == len(paths) == 36
+        assert len(set(paths)) == len(paths) == 34
 
     def test_serialized_defaults_are_pinned(self):
         assert serialize_config(default_config()) == (
@@ -127,13 +139,13 @@ class TestConfigSchema:
             "mle.mu1_count = 13\nmle.mu1_hi = 0.0\nmle.mu1_lo = -6.0\n"
             "mle.mu2_count = 13\nmle.mu2_hi = 6.0\nmle.mu2_lo = 0.0\n"
             "mle.p_z_count = 9\nmle.p_z_hi = 0.9\nmle.p_z_lo = 0.1\n"
-            "mle.refine_iters = 3\nmle.refine_shrink = 0.5\n"
+            "mle.refine_iters = 3\n"
             "mle.sigma1_count = 4\nmle.sigma1_hi = 2.0\nmle.sigma1_lo = 0.25\n"
             "mle.sigma2_count = 4\nmle.sigma2_hi = 2.0\nmle.sigma2_lo = 0.25\n"
             "prior.mu1 = -3.0\nprior.mu2 = 3.0\nprior.p_z = 0.9\n"
             "prior.sigma1 = 1.0\nprior.sigma2 = 1.0\n"
             "run.exact_likelihood = false\nrun.n_queries = 5\nrun.seed = 0\n"
-            "run.selection = sample\nrun.theta_true = 2.0\n")
+            "run.theta_true = 2.0\n")
 
     def test_report_config_section_is_pinned(self):
         # Re-dumped compactly; the round trip keeps ints, floats, lists and dicts apart.
@@ -141,10 +153,10 @@ class TestConfigSchema:
         assert json.dumps(section, sort_keys=True) == (
             '{"beta_a": 50.0, "beta_h": 50.0, "exact_likelihood": false, '
             '"mle": {"mu1": [-6.0, 0.0, 13], "mu2": [0.0, 6.0, 13], "n_refine_iters": 3, '
-            '"p_z": [0.1, 0.9, 9], "refine_shrink": 0.5, "sigma1": [0.25, 2.0, 4], '
+            '"p_z": [0.1, 0.9, 9], "sigma1": [0.25, 2.0, 4], '
             '"sigma2": [0.25, 2.0, 4]}, "n_queries": 20, "prior": [-3.0, 0.5, 3.0, 0.5, 0.6], '
             '"query_grid": [-6.0, 6.0, 49], "reward_form": "absolute_distance", "seed": 3, '
-            '"selection": "sample", "theta_grid": [-6.0, 6.0, 241], "theta_true": 2.0}')
+            '"theta_grid": [-6.0, 6.0, 241], "theta_true": 2.0}')
 
 
 class TestCsvWriters:
@@ -380,7 +392,7 @@ eig_true.csv e9b528a64ea272f64b206c9e5f09c8417499cab98f690dbb46760b5d2bf69493
 heatmap_estimated.svg 846243cd032efa9b9e7b87ec91e4b15dcce51b376054b7e8af65b5a2fe1e7d41
 heatmap_true.svg baa05ffb917710c40b6d14d5f155014e892e25b396ec86ac9868cc45bf08d138
 queries.csv 51c9be1a4ee5ea9c02ad58097b0800cbcac3f74968e00a814710a6fad6806703
-report.json 6f31e251838068b58b725391b53c865a7af79528e30f6311b0e6d63d79b684ee
+report.json 33971973edeb7e4adde45223f5cafe588d19cb8c25f846c29f03a541f6564e56
 """,
     "fig3": """\
 belief_estimated.csv e6512ee6a2b4da305f364d86672fe8a30901ada355803e3731b655c642e37a21
@@ -390,14 +402,14 @@ eig_true.csv 79f9d38a3307f52913d4cde6e51893f1b976b5f233a0c6f97c538e748d14e15b
 heatmap_estimated.svg 846243cd032efa9b9e7b87ec91e4b15dcce51b376054b7e8af65b5a2fe1e7d41
 heatmap_true.svg c6db65e436b6b2d9f02594431b6636d4b261feb7f43c3895b9d03acf17c2968a
 queries.csv 8c18241513c15415f3bfc2746618172d244a380d9e517f658573cae56a557318
-report.json 942f2bb589fbd5adbc797dec6fe43e90fcc2cfeb2d0493b90b0eb6b3764ff18c
+report.json 3450a2849144c4e8772ccb18d89af8822b83acc6d7203d1c423ce78cc12f05c6
 """,
     "fig4": """\
 belief_inferred.csv e6512ee6a2b4da305f364d86672fe8a30901ada355803e3731b655c642e37a21
 heatmap_teach_adaptive.svg 7a95d635d672464ada6a0ea5809e0afdd29d42e5bc352035aea8073d6a6eb7b5
 heatmap_teach_uniform.svg 0e46c97d77c2a4f06d88f35e90578c44f1ed75b0dfb512411977197204e7f96a
 queries.csv 51c9be1a4ee5ea9c02ad58097b0800cbcac3f74968e00a814710a6fad6806703
-report.json 2993e7ec0121989362a91c4c8533172122e454b49183e3d7354340a0b9199908
+report.json fe7635bf2977e4d5623bb5f7ff851b630b1f283d1c9b756f038fd66389e771e0
 teach_adaptive.csv 28f483ba0a9b4445fa206b3a3624819901fa752a8530cfdd697dec21b1e8ffd1
 teach_uniform.csv d7dd98ca2c25b13af52d0fd478088391b4b48a268d38ff551a96f44083f90e03
 """,
@@ -444,6 +456,18 @@ class TestManifest:
                            if not ln.startswith("timing.")]
         assert strip(m1) == strip(m2)
         assert m1.read_text() != m2.read_text()
+
+    def test_timing_lines_have_a_fixed_width(self, tmp_path):
+        # Manifests of identical runs have one size, whatever the wall times.
+        out = tmp_path / "data.csv"
+        out.write_text("theta,mass\n0,1\n")
+        m1 = tmp_path / "m1.txt"
+        m2 = tmp_path / "m2.txt"
+        write_manifest(m1, "0.1.0", "run.seed = 1\n", 1, [out], {"t": 0.5})
+        write_manifest(m2, "0.1.0", "run.seed = 1\n", 1, [out], {"t": 12.3456789012345})
+        assert m1.read_text() != m2.read_text()
+        assert m1.stat().st_size == m2.stat().st_size
+        assert "timing.t_seconds = 1.234568e+01\n" in m2.read_text()
 
 
 class TestFormatting:

@@ -48,10 +48,6 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(n_queries=0)
 
-    def test_bad_selection_rejected(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig(selection="greedy")
-
     def test_bad_reward_form_rejected(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(reward_form="cubic")
