@@ -15,10 +15,9 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
 
 from .model import (
     ABSOLUTE_DISTANCE,
@@ -43,6 +42,7 @@ from .inference import (
     QueryGrid,
     QueryPolicy,
     _binary_entropy,
+    _likelihood_table,
     _require_rationality,
     eig_map,
     expected_info_gain,
@@ -55,7 +55,8 @@ from .inference import (
 # memory at roughly batch * n_grid_points * 8 bytes per temporary in the
 # exact data term and batch * n_queries * 8 bytes in a summed block of whole
 # (mu1, mu2) pairs.  The exact normalizer goes one row at a time, with one (C, K)
-# buffer per worker beside the grid's ``L`` and ``1 - L`` (:func:`_exact_log_normalizers`).
+# buffer per worker beside the grid's cached ``L`` and one ``1 - L``
+# (:func:`_exact_log_normalizers`).
 _SEARCH_CHUNK = 1024
 
 # Search coordinates are (mu1, mu2, log s1, log s2, p_z): the sigma axes of
@@ -223,7 +224,9 @@ def _coarse_axes(ranges: Sequence[ParamRange]) -> list[np.ndarray]:
 # until that reference is regenerated.  So it keeps scipy's ``xlogy`` and
 # ``logsumexp`` on purpose: numpy's vectorized log (``inference._xlogx``)
 # differs from them in last bits, and a last bit here can swap two tied
-# candidates.
+# candidates.  They are imported inside the functions that use them, in the
+# calling thread before any worker starts, so that only exact attribution
+# loads ``scipy.special``.
 def _mixture_mass_batch(params: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Normalized grid mass for a (B, 5) batch of mixture parameters.
 
@@ -259,6 +262,8 @@ def _summed_eig_batch(mass: np.ndarray, lik1: np.ndarray) -> np.ndarray:
     ``t_y = mass * lik_y``.  All reductions are fixed-order einsum loops, so
     results do not depend on BLAS threading.
     """
+    from scipy.special import xlogy
+
     a = xlogy(mass, mass)
     neg_h = np.einsum("bk->b", a)
     row_sum = np.einsum("bk->b", mass)
@@ -296,15 +301,19 @@ def _exact_log_normalizers(params: np.ndarray, grid: ThetaGrid, qg: QueryGrid, f
     The softmax query policy's normalizer.  Each row's mass ``m``
     (:func:`_mixture_mass_batch`) gets a gain map computed as the scalar path
     does it (posterior normalization followed by entropy, answer 1 before
-    answer 0) against the (C, K) likelihoods ``L`` of the candidate grid and
-    one shared ``1 - L``.  Rows are dealt round-robin to one thread per CPU;
-    each thread owns one (C, K) buffer and computes and writes only its own
-    rows, start to finish, so the thread count never changes a bit.  Workers
-    call only private functions and scipy: perfbench's tracer wraps the
-    public ones with one span stack, which a second thread would corrupt.
+    answer 0) against the cached (C, K) likelihoods ``L`` of the candidate
+    grid (:func:`inference._likelihood_table`) and one shared ``1 - L``.  Rows
+    are dealt round-robin to one thread per CPU; each thread owns one (C, K)
+    buffer and computes and writes only its own rows, start to finish, so the
+    thread count never changes a bit.  The table and the scipy functions are
+    fetched here, before the workers start.  Workers call only private
+    functions and scipy: perfbench's tracer wraps the public ones with one
+    span stack, which a second thread would corrupt.
     """
+    from scipy.special import logsumexp, xlogy
+
     points = grid.points
-    lik1 = likelihood_matrix(points, qg.candidates, form)
+    lik1 = _likelihood_table(grid, qg, form)
     lik0 = 1.0 - lik1
     n = params.shape[0]
     out = np.empty(n)
@@ -401,6 +410,8 @@ def mle_objective(queries: Sequence[Query], bp: BeliefParams, qg: QueryGrid,
     gains = [expected_info_gain(b, q, form) for q in queries]
     if not exact:
         return float(sum(gains))
+    from scipy.special import logsumexp
+
     log_z = float(logsumexp(beta_a * eig_map(b, qg, form)))
     return float(sum(beta_a * g - log_z for g in gains))
 
@@ -528,29 +539,35 @@ def l3_teaching_utility(tc: LabeledExample, theta_true: float, prior: GridBelief
     """Posterior mass the learner would place on the true ideal point's cell:
     the example's entry of :func:`_teaching_utility_table` for one prior, so an
     answer of zero likelihood under the prior has utility 0."""
-    q = tc.query
     return float(_teaching_utility_table(theta_true, [prior], None,
-                                         np.array([[q.x1, q.x2]]), form)[0][0, tc.y])
+                                         _query_likelihoods(tc.query, form))[0][0, tc.y])
+
+
+def _query_likelihoods(q: Query, form: str) -> Callable[[ThetaGrid], np.ndarray]:
+    """The (1, K) answer-1 likelihoods of one query on a grid's points."""
+    return lambda grid: likelihood_matrix(grid.points, np.array([[q.x1, q.x2]]), form)
 
 
 def _teaching_utility_table(theta_true: float, priors: Sequence[GridBelief],
                             weights: Sequence[float] | None,
-                            cands: np.ndarray, form: str) -> tuple[np.ndarray, np.ndarray]:
+                            likelihoods: Callable[[ThetaGrid], np.ndarray]
+                            ) -> tuple[np.ndarray, np.ndarray]:
     """(C, 2) ensemble-averaged posterior mass on the true ideal point's cell
     after each candidate query is answered ``y = 0`` (column 0) or 1, and the
-    (C, 2) mask of the answers that some prior gives nonzero likelihood.  An
-    answer of zero likelihood under a prior adds utility 0 for that prior."""
+    (C, 2) mask of the answers that some prior gives nonzero likelihood.
+    ``likelihoods(grid)`` is the (C, K) answer-1 likelihoods of the candidates
+    on a prior's grid.  An answer of zero likelihood under a prior adds utility
+    0 for that prior."""
     if len(priors) == 0:
         raise InvalidInputError("need at least one learner-belief particle")
     if weights is None:
         w = np.full(len(priors), 1.0 / len(priors))
     else:
         w = _require_probabilities(weights, len(priors), "weights")
-    total = np.zeros((cands.shape[0], 2))
+    rows = [(prior.grid.index_of(theta_true), likelihoods(prior.grid)) for prior in priors]
+    total = np.zeros((rows[0][1].shape[0], 2))
     possible = np.zeros(total.shape, dtype=bool)
-    for weight, prior in zip(w, priors):
-        target = prior.grid.index_of(theta_true)
-        lik1 = likelihood_matrix(prior.grid.points, cands, form)
+    for weight, prior, (target, lik1) in zip(w, priors, rows):
         for y, lik in ((0, 1.0 - lik1), (1, lik1)):
             t = prior.mass[None, :] * lik
             s = np.sum(t, axis=1)
@@ -567,9 +584,11 @@ def l3_teaching_utilities(theta_true: float, priors: Sequence[GridBelief],
 
     Output order matches :func:`teaching_candidates`: index ``2c + y`` for
     candidate ``c``.  Expectation is over the teacher's uncertainty about the
-    learner's belief, given as grid beliefs with weights.
+    learner's belief, given as grid beliefs with weights.  The likelihoods are
+    the cached table of each prior's grid, :func:`inference._likelihood_table`.
     """
-    return _teaching_utility_table(theta_true, priors, weights, qg.candidates, form)[0].ravel()
+    return _teaching_utility_table(theta_true, priors, weights,
+                                   lambda grid: _likelihood_table(grid, qg, form))[0].ravel()
 
 
 def l3_teaching_policy(theta_true: float, priors: Sequence[GridBelief],
@@ -588,8 +607,15 @@ def l3_answer_policy(theta_true: float, q: Query, priors: Sequence[GridBelief],
     gets probability 0, so the teacher never gives an answer that its model
     of the learner cannot take; otherwise the softmax of the two utilities.
     """
-    u, possible = _teaching_utility_table(theta_true, priors, weights,
-                                          np.array([[q.x1, q.x2]]), form)
+    return _answer_policy(theta_true, _query_likelihoods(q, form), priors, weights, beta_h)
+
+
+def _answer_policy(theta_true: float, likelihoods: Callable[[ThetaGrid], np.ndarray],
+                   priors: Sequence[GridBelief], weights: Sequence[float] | None,
+                   beta_h: float) -> float:
+    """:func:`l3_answer_policy` for the query whose (1, K) answer-1 likelihoods
+    on a grid are ``likelihoods(grid)``."""
+    u, possible = _teaching_utility_table(theta_true, priors, weights, likelihoods)
     if not possible[0].all():
         return float(possible[0, 1])
     return float(softmax_policy(u[0], beta_h)[1])

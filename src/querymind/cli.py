@@ -114,7 +114,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_teach)
 
     p = sub.add_parser("loop", help="alternating query/answer rounds")
-    p.add_argument("--teacher", type=int, default=1, help="teacher level (1 or 3)")
+    p.add_argument("--teacher", type=int, default=1, choices=(1, 3), help="teacher level")
     p.add_argument("--rounds", type=int, default=20)
     _add_common(p, exact=False)
     p.set_defaults(func=_cmd_loop)

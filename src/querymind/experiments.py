@@ -30,15 +30,16 @@ from .model import (
 )
 from .inference import (
     QueryGrid,
+    _bayes_update,
+    _likelihood_table,
     eig_map,
     entropy,
-    posterior_update,
 )
 from .agents import (
     MleSearchConfig,
+    _answer_policy,
     l2_query_policy,
     l2_select_query,
-    l3_answer_policy,
     l3_teaching_utilities,
     l3_teaching_utility,
     mle_belief,
@@ -265,7 +266,10 @@ def run_interaction_loop(cfg: ScenarioConfig, learner_level: int, teacher_level:
     The level-2 learner asks from its softmax policy and updates literally.
     A level-1 teacher answers from the choice model at ``theta_true``; a
     level-3 teacher answers strategically, attributing the learner's current
-    belief exactly (a single-particle second-order belief kept in sync).
+    belief exactly (a single-particle second-order belief kept in sync).  The
+    level-3 teacher and the learner's update read the asked query's row of the
+    cached likelihood table, the row that ``l3_answer_policy`` and
+    ``posterior_update`` compute afresh.
     """
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
@@ -278,13 +282,17 @@ def run_interaction_loop(cfg: ScenarioConfig, learner_level: int, teacher_level:
     belief = discretize_belief(cfg.prior, cfg.theta_grid)
     rng_q = np.random.default_rng(derive_subseed(cfg.seed, "loop-queries", 0))
     rng_a = np.random.default_rng(derive_subseed(cfg.seed, "loop-answers", 0))
+    qg, form = cfg.query_grid, cfg.reward_form
+    table = _likelihood_table(cfg.theta_grid, qg, form)
     for t in range(rounds):
-        policy = l2_query_policy(belief, cfg.query_grid, cfg.beta_a, cfg.reward_form)
+        policy = l2_query_policy(belief, qg, cfg.beta_a, form)
         q = l2_select_query(policy, rng_q)
-        p1 = (response_prob(cfg.theta_true, q, cfg.reward_form) if teacher_level == 1 else
-              l3_answer_policy(cfg.theta_true, q, [belief], None, cfg.beta_h, cfg.reward_form))
+        lik = table[qg.index_of(q)]
+        p1 = (response_prob(cfg.theta_true, q, form) if teacher_level == 1 else
+              _answer_policy(cfg.theta_true, lambda _grid: lik[None, :], [belief], None,
+                             cfg.beta_h))
         y = 1 if rng_a.random() < p1 else 0
-        belief = posterior_update(belief, q, y, cfg.reward_form)
+        belief = _bayes_update(belief, q, lik, y)
         report.trace.append((t, q.x1, q.x2, y, entropy(belief)))
     report.timings["loop"] = time.perf_counter() - t0
     return report

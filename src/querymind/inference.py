@@ -6,12 +6,17 @@ estimated.  All reductions are fixed-order ``np.sum`` or ``np.einsum`` loops
 (never BLAS: no ``@``, ``dot`` or ``einsum(optimize=...)``), which keeps
 results bit-identical across thread counts.
 
+Every whole-grid reader takes its answer likelihoods from one cached,
+read-only (C, K) table per theta grid, query grid and reward form,
+:func:`_likelihood_table`, so the choice model's per-element logistic runs
+once per table, not once per call.
+
 Gain maps over a whole query grid use the mutual-information ("dual") form
 ``EIG(q) = H_b(L_q . m) - m . H_b(L_q)``: two ``einsum("ck,k->c", ...)``
 products of the belief mass with a cached, read-only table of the answer
-likelihoods ``L`` and their binary entropies ``H_b(L)``.  The table holds only
-the pairs with ``x1 < x2``; a swapped pair has the same gain and a diagonal
-pair has none.
+likelihoods ``L`` and their binary entropies ``H_b(L)``.  The gain table holds
+only the pairs with ``x1 < x2``; a swapped pair has the same gain and a
+diagonal pair has none.
 
 Entropies take ``x ln x`` from :func:`_xlogx`, numpy's vectorized (SIMD)
 ``np.log``.  Like ``np.exp`` in :func:`softmax_policy`, its last bits can
@@ -41,8 +46,9 @@ from .model import (
 
 LN2 = float(np.log(2.0))
 
-# Candidate pairs per block while a gain table is built; bounds each
-# temporary at about _TABLE_BLOCK * n_points * 8 bytes.
+# Candidate pairs per block while a likelihood or gain table is built; bounds
+# each temporary at about _TABLE_BLOCK * n_points * 8 bytes (about four times
+# that for the Python floats of the logistic).
 _TABLE_BLOCK = 256
 
 
@@ -123,6 +129,20 @@ def likelihood_matrix(points: np.ndarray, candidates: np.ndarray,
     return _answer_prob(points[None, :], candidates[:, :1], candidates[:, 1:], form)
 
 
+@functools.lru_cache(maxsize=8)
+def _likelihood_table(grid: ThetaGrid, qg: QueryGrid, form: str) -> np.ndarray:
+    """Read-only (C, K) :func:`likelihood_matrix` of every candidate of ``qg``
+    on the points of ``grid``.  Built lazily, in ``_TABLE_BLOCK``-row blocks,
+    once per (theta grid, query grid, reward form)."""
+    points, cands = grid.points, qg.candidates
+    lik = np.empty((cands.shape[0], points.size))
+    for start in range(0, cands.shape[0], _TABLE_BLOCK):
+        block = slice(start, start + _TABLE_BLOCK)
+        lik[block] = likelihood_matrix(points, cands[block], form)
+    lik.flags.writeable = False
+    return lik
+
+
 def predictive_answer_prob(b: GridBelief, q: Query, form: str = ABSOLUTE_DISTANCE) -> float:
     """Belief-averaged probability of ``y = 1``."""
     return float(np.sum(b.mass * answer_likelihoods(b.grid.points, q, form)))
@@ -132,7 +152,12 @@ def posterior_update(b: GridBelief, q: Query, y: int, form: str = ABSOLUTE_DISTA
     """Bayes update of the grid belief with one answered query."""
     if y not in (0, 1):
         raise InvalidInputError(f"answer must be 0 or 1, got {y!r}")
-    lik = answer_likelihoods(b.grid.points, q, form)
+    return _bayes_update(b, q, answer_likelihoods(b.grid.points, q, form), y)
+
+
+def _bayes_update(b: GridBelief, q: Query, lik: np.ndarray, y: int) -> GridBelief:
+    """:func:`posterior_update` given the (K,) answer-1 likelihoods ``lik`` of
+    ``q`` on the belief's grid."""
     if y == 0:
         lik = 1.0 - lik
     unnorm = b.mass * lik
@@ -146,8 +171,8 @@ def posterior_update(b: GridBelief, q: Query, y: int, form: str = ABSOLUTE_DISTA
 def _xlogx(x: np.ndarray) -> np.ndarray:
     """``x ln x`` elementwise for ``x`` in [0, 1]: exactly 0 at 0, NaN through."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(x)
-    np.log(x, out=out, where=x > 0)
+    out = np.where(x > 0, x, 1.0)
+    np.log(out, out=out)
     out *= x
     return out
 
@@ -190,20 +215,18 @@ def _gain_table(grid: ThetaGrid, qg: QueryGrid, form: str):
     """Read-only ``(upper, lower, L, H_b(L))`` over the pairs with ``x1 < x2``.
 
     ``upper`` and ``lower`` are the candidate indices of each pair and of its
-    swap; ``L`` is the (P, K) matrix of answer-1 likelihoods.  Built lazily, in
-    row blocks, once per (theta grid, query grid, reward form).
+    swap; ``L`` is the (P, K) matrix of answer-1 likelihoods, the ``upper``
+    rows of :func:`_likelihood_table`.  Built lazily, ``H_b(L)`` in row blocks,
+    once per (theta grid, query grid, reward form).
     """
     n = qg.n_per_axis
     i, j = np.triu_indices(n, k=1)
     upper = i * n + j
     lower = j * n + i
-    pairs = qg.candidates[upper]
-    points = grid.points
-    lik = np.empty((upper.size, points.size))
+    lik = _likelihood_table(grid, qg, form)[upper]
     h_lik = np.empty_like(lik)
     for start in range(0, upper.size, _TABLE_BLOCK):
         block = slice(start, start + _TABLE_BLOCK)
-        lik[block] = likelihood_matrix(points, pairs[block], form)
         h_lik[block] = _binary_entropy(lik[block])
     for a in (upper, lower, lik, h_lik):
         a.flags.writeable = False

@@ -3,11 +3,16 @@
 The responder prefers items close to an ideal point ``theta``.  A query shows
 two items; the answer ``y = 1`` means the second item was preferred.  Choice
 noise is logistic in the reward difference, so the probability of preferring
-the second item is ``expit(r(x2) - r(x1))``.  This choice model is written
-once, in :func:`_answer_prob`: the honest responder draws its answers from it
-on scalars, and every likelihood table of the learner and of the higher-order
-agents (``inference.likelihood_matrix``) evaluates it on whole grids, so the
-learner's model of the responder is the responder, bit for bit.
+the second item is ``1 / (1 + exp(r(x1) - r(x2)))``.  This choice model is
+written once, in :func:`_answer_prob`: the honest responder draws its answers
+from it on scalars, and every likelihood table of the learner and of the
+higher-order agents (``inference.likelihood_matrix``) evaluates it on whole
+grids, so the learner's model of the responder is the responder, bit for bit.
+
+The logistic, :func:`_logistic`, takes ``exp`` from the C library through
+:func:`math.exp`, one element at a time.  That is the formula and the ``exp``
+of ``scipy.special.expit``, so the bits are expit's, and importing this package
+does not import ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 ABSOLUTE_DISTANCE = "absolute_distance"
 SQUARED_DISTANCE = "squared_distance"
@@ -31,6 +35,9 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # Smallest standard deviation accepted anywhere: below the smallest normal
 # float, ``1 / (sigma * sqrt(2 pi))`` can overflow to inf.
 MIN_SIGMA = sys.float_info.min
+
+# Largest argument whose exp is finite: past it ``math.exp`` raises OverflowError.
+_EXP_MAX = math.log(sys.float_info.max)
 
 
 class InvalidInputError(ValueError):
@@ -211,13 +218,30 @@ def _gap_limit(theta, x1, x2):
     return 0.5 + 0.5 * np.sign(np.abs(0.5 * theta - 0.5 * x1) - np.abs(0.5 * theta - 0.5 * x2))
 
 
+def _logistic(x) -> np.ndarray:
+    """``1 / (1 + exp(-x))`` elementwise, as a float64 array of ``x``'s shape.
+
+    ``exp`` is :func:`math.exp`, the C library's, as in ``scipy.special.expit``,
+    so the bits are expit's; numpy's vectorized ``np.exp`` can differ in the
+    last bit.  An argument whose exp overflows is first set to inf (where
+    ``math.exp`` would raise), so its logistic is the limit, 0.
+    """
+    t = np.array(x, dtype=np.float64)
+    np.negative(t, out=t)
+    t[t > _EXP_MAX] = np.inf
+    flat = t.reshape(-1)
+    flat[:] = np.fromiter(map(math.exp, flat.tolist()), np.float64, flat.size)
+    t += 1.0
+    return np.divide(1.0, t, out=t)
+
+
 def _answer_prob(theta, x1, x2, form: str):
-    """The choice model: P(y = 1 | theta, (x1, x2)) = ``expit(d(theta, x1) -
+    """The choice model: P(y = 1 | theta, (x1, x2)) = ``_logistic(d(theta, x1) -
     d(theta, x2))``, broadcasting; a gap that is not finite (inf, or inf - inf)
     takes its limit, :func:`_gap_limit`."""
     with np.errstate(over="ignore", invalid="ignore"):
         gap = _distance(theta, x1, form) - _distance(theta, x2, form)
-    p = expit(gap)
+    p = _logistic(gap)
     finite = np.isfinite(gap)
     return p if finite.all() else np.where(finite, p, _gap_limit(theta, x1, x2))
 

@@ -240,7 +240,7 @@ class TestTeachAndLoop:
     def test_loop_rejects_bad_levels(self, tmp_path, fast_config):
         code = main(["loop", "--teacher", "4", "--out", str(tmp_path / "x"),
                      "--config", fast_config])
-        assert code == 2
+        assert code == 1
 
 
 class TestEstimateAndIntent:

@@ -165,6 +165,44 @@ class TestInteractionLoop:
         with pytest.raises(ConfigError):
             run_interaction_loop(cfg, 2, 1, 0)
 
+    # sha256 of the float64 (round, x1, x2, y, entropy) rows of 40-round traces
+    # on the packaged grids, recorded when the learner's update and the
+    # level-3 teacher computed each round's likelihood row afresh; they now
+    # read it from the cached likelihood table.
+    TRACE_DIGESTS = {
+        (1, "absolute_distance", 0):
+            "bdde2efb2ab02431fa05dd822b72c3852025966e9fa6f1fb53807535c4b25794",
+        (1, "absolute_distance", 1):
+            "0ecd26cd25867793c96393dd209abea53d9da1262d701c369b200ecccc875b8a",
+        (1, "absolute_distance", 2):
+            "74a0a3a634463ef6f9124e8d20fef9f1aa006127b589e0d981da194ec4290ecc",
+        (1, "squared_distance", 0):
+            "f78fb1881cb183144116621d7530f88faa00f185271fdd1c3af7044d84367407",
+        (1, "squared_distance", 1):
+            "2eb551dacd1472aae6943e272a89a8827469dee163098ac1ae13c1459cabab90",
+        (1, "squared_distance", 2):
+            "65ac4d6b1582b149f32a378c24098674e30f5cb53ffb261ea7740bff658a2ec5",
+        (3, "absolute_distance", 0):
+            "72f860e766f048f4aaf32ac366eb1540acc3384f7deb70325a39ed5c59194d4a",
+        (3, "absolute_distance", 1):
+            "bd081d55552d10561df3e3cc5c8d07208945b8d66b1d29eee4639ef9610b6c2f",
+        (3, "absolute_distance", 2):
+            "faa5c8619dd60b3d1626091f66517d0106ea7914c7577105cabc68897e33b20e",
+        (3, "squared_distance", 0):
+            "2645fc9ee53a3fa624a8c99e6cb66f8b5976bb5c6006176f28da9a91f930364c",
+        (3, "squared_distance", 1):
+            "7af8ea8dd6b9408d59dc7a873f9213eeb968bdfc0cfdb0622587b8420f3a97d3",
+        (3, "squared_distance", 2):
+            "a69e10857968658a9da15881b688450752831b594911645aac374e9b193ddc6d",
+    }
+
+    @pytest.mark.parametrize("teacher, form, seed", sorted(TRACE_DIGESTS))
+    def test_full_scale_traces_are_pinned(self, teacher, form, seed):
+        trace = run_interaction_loop(ScenarioConfig(seed=seed, reward_form=form), 2, teacher,
+                                     40).trace
+        digest = hashlib.sha256(np.array(trace, dtype=np.float64).tobytes()).hexdigest()
+        assert digest == self.TRACE_DIGESTS[teacher, form, seed]
+
     def test_entropy_decreases_against_honest_teacher(self):
         finals, initials = [], []
         for seed in range(20):

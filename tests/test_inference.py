@@ -26,6 +26,8 @@ from querymind.model import (
 from querymind.inference import (
     QueryGrid,
     QueryPolicy,
+    _gain_table,
+    _likelihood_table,
     _xlogx,
     answer_likelihoods,
     eig_map,
@@ -135,6 +137,17 @@ class TestXLogX:
         got, want = _xlogx(x), xlogy(x, x)
         assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
         assert _xlogx(np.array([1.0]))[0] == 0.0
+
+    def test_equals_the_masked_log_byte_for_byte(self):
+        # The form before the unmasked log: a zeroed output, logged where x > 0.
+        rng = np.random.default_rng(7)
+        x = np.concatenate([rng.uniform(0.0, 1.0, 10_000), [0.0, -0.0, np.nan, 1.0, 5e-324]])
+        x[rng.permutation(x.size)[:1_000]] = 0.0
+        masked = np.zeros_like(x)
+        np.log(x, out=masked, where=x > 0)
+        masked *= x
+        assert _xlogx(x).tobytes() == masked.tobytes()
+        assert math.copysign(1.0, _xlogx(np.array([-0.0]))[0]) == -1.0
 
     def test_zero_gives_exactly_zero_and_nan_propagates(self):
         got = _xlogx(np.array([0.0, np.nan, 0.5, 0.0]))
@@ -488,6 +501,24 @@ class TestLikelihoodMatrix:
         d2 = self.POINTS[None, :] - self.FINITE[:, [1]]
         diff = np.abs(d1) - np.abs(d2) if form == ABSOLUTE_DISTANCE else d1 * d1 - d2 * d2
         assert alone.tobytes() == expit(diff).tobytes()
+
+
+class TestLikelihoodTable:
+    @pytest.mark.parametrize("form", REWARD_FORMS)
+    def test_is_the_read_only_likelihood_matrix(self, form):
+        grid, qg = ThetaGrid(-6.0, 6.0, 241), QueryGrid(-6.0, 6.0, 49)
+        table = _likelihood_table(grid, qg, form)
+        assert table.tobytes() == likelihood_matrix(grid.points, qg.candidates, form).tobytes()
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.5
+        assert _likelihood_table(grid, qg, form) is table
+
+    @pytest.mark.parametrize("form", REWARD_FORMS)
+    def test_gain_table_reads_its_upper_rows(self, form):
+        grid, qg = ThetaGrid(-6.0, 6.0, 241), QueryGrid(-6.0, 6.0, 49)
+        upper, _, lik, _ = _gain_table(grid, qg, form)
+        assert lik.tobytes() == _likelihood_table(grid, qg, form)[upper].tobytes()
 
 
 class TestQueryPolicy:

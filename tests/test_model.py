@@ -1,12 +1,18 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.special import expit
 from scipy.stats import norm
 
+import querymind
 from querymind.model import (
     ABSOLUTE_DISTANCE,
+    _logistic,
     _normal_density,
     MIN_SIGMA,
     SQUARED_DISTANCE,
@@ -83,6 +89,36 @@ OVERFLOWING_GAPS = [
     (ABSOLUTE_DISTANCE, 1e308, -1e308, -1.5e308, 0.0),
     (ABSOLUTE_DISTANCE, 1e308, -1.5e308, -1e308, 1.0),
 ]
+
+
+class TestLogistic:
+    """The choice model's logistic on libm's exp, against scipy's ``expit``."""
+
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(20)
+        edges = [0.0, 5e-324, 745.2, math.log(sys.float_info.max)]
+        for e in list(edges[2:]):
+            edges += [np.nextafter(e, -np.inf), np.nextafter(e, np.inf)]
+        edges = np.array(edges + [np.inf])
+        return np.concatenate([rng.uniform(-800.0, 800.0, 1_000_000), edges, -edges, [np.nan]])
+
+    def test_equals_expit_byte_for_byte(self):
+        x = self._inputs()
+        assert _logistic(x).tobytes() == expit(x).tobytes()
+        grid = x[:999_999].reshape(999, 1001)
+        got = _logistic(grid)
+        assert got.shape == grid.shape and got.tobytes() == expit(grid).tobytes()
+        for v in x[-19:]:
+            got = _logistic(v)
+            assert got.shape == () and got.tobytes() == expit(v).tobytes()
+
+    def test_importing_the_package_does_not_load_scipy_special(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(querymind.__file__)))
+        code = "import sys, querymind, querymind.cli; print('scipy.special' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              check=True, capture_output=True, text=True)
+        assert done.stdout.strip() == "False"
 
 
 class TestResponseProb:
