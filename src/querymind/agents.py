@@ -13,9 +13,8 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,9 +40,11 @@ from .inference import (
     ImpossibleEvidenceError,
     QueryGrid,
     QueryPolicy,
+    _bayes_rule,
     _binary_entropy,
     _likelihood_table,
     _require_rationality,
+    answer_likelihoods,
     eig_map,
     expected_info_gain,
     likelihood_matrix,
@@ -224,9 +225,9 @@ def _coarse_axes(ranges: Sequence[ParamRange]) -> list[np.ndarray]:
 # until that reference is regenerated.  So it keeps scipy's ``xlogy`` and
 # ``logsumexp`` on purpose: numpy's vectorized log (``inference._xlogx``)
 # differs from them in last bits, and a last bit here can swap two tied
-# candidates.  They are imported inside the functions that use them, in the
-# calling thread before any worker starts, so that only exact attribution
-# loads ``scipy.special``.
+# candidates.  They and the thread pool are imported inside the functions that
+# use them, in the calling thread before any worker starts, so that only exact
+# attribution loads ``scipy.special`` and ``concurrent.futures``.
 def _mixture_mass_batch(params: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Normalized grid mass for a (B, 5) batch of mixture parameters.
 
@@ -310,6 +311,8 @@ def _exact_log_normalizers(params: np.ndarray, grid: ThetaGrid, qg: QueryGrid, f
     functions and scipy: perfbench's tracer wraps the public ones with one
     span stack, which a second thread would corrupt.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     from scipy.special import logsumexp, xlogy
 
     points = grid.points
@@ -539,38 +542,32 @@ def l3_teaching_utility(tc: LabeledExample, theta_true: float, prior: GridBelief
     """Posterior mass the learner would place on the true ideal point's cell:
     the example's entry of :func:`_teaching_utility_table` for one prior, so an
     answer of zero likelihood under the prior has utility 0."""
-    return float(_teaching_utility_table(theta_true, [prior], None,
-                                         _query_likelihoods(tc.query, form))[0][0, tc.y])
-
-
-def _query_likelihoods(q: Query, form: str) -> Callable[[ThetaGrid], np.ndarray]:
-    """The (1, K) answer-1 likelihoods of one query on a grid's points."""
-    return lambda grid: likelihood_matrix(grid.points, np.array([[q.x1, q.x2]]), form)
+    lik1 = answer_likelihoods(prior.grid.points, tc.query, form)[None, :]
+    return float(_teaching_utility_table(theta_true, [prior], None, [lik1])[0][0, tc.y])
 
 
 def _teaching_utility_table(theta_true: float, priors: Sequence[GridBelief],
                             weights: Sequence[float] | None,
-                            likelihoods: Callable[[ThetaGrid], np.ndarray]
-                            ) -> tuple[np.ndarray, np.ndarray]:
+                            likelihoods: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(C, 2) ensemble-averaged posterior mass on the true ideal point's cell
     after each candidate query is answered ``y = 0`` (column 0) or 1, and the
     (C, 2) mask of the answers that some prior gives nonzero likelihood.
-    ``likelihoods(grid)`` is the (C, K) answer-1 likelihoods of the candidates
-    on a prior's grid.  An answer of zero likelihood under a prior adds utility
-    0 for that prior."""
+    ``likelihoods`` holds, for each prior, the (C, K) answer-1 likelihoods of
+    the candidates on that prior's grid.  Each posterior is the learner's own
+    update, :func:`inference._bayes_rule`; an answer of zero likelihood under
+    a prior adds utility 0 for that prior."""
     if len(priors) == 0:
         raise InvalidInputError("need at least one learner-belief particle")
     if weights is None:
         w = np.full(len(priors), 1.0 / len(priors))
     else:
         w = _require_probabilities(weights, len(priors), "weights")
-    rows = [(prior.grid.index_of(theta_true), likelihoods(prior.grid)) for prior in priors]
-    total = np.zeros((rows[0][1].shape[0], 2))
+    total = np.zeros((likelihoods[0].shape[0], 2))
     possible = np.zeros(total.shape, dtype=bool)
-    for weight, prior, (target, lik1) in zip(w, priors, rows):
-        for y, lik in ((0, 1.0 - lik1), (1, lik1)):
-            t = prior.mass[None, :] * lik
-            s = np.sum(t, axis=1)
+    for weight, prior, lik1 in zip(w, priors, likelihoods, strict=True):
+        target = prior.grid.index_of(theta_true)
+        for y in (0, 1):
+            t, s = _bayes_rule(prior.mass, lik1, y)
             total[:, y] += weight * np.divide(t[:, target], s, out=np.zeros_like(s),
                                               where=s > 0)
             possible[:, y] |= s > 0
@@ -587,8 +584,8 @@ def l3_teaching_utilities(theta_true: float, priors: Sequence[GridBelief],
     learner's belief, given as grid beliefs with weights.  The likelihoods are
     the cached table of each prior's grid, :func:`inference._likelihood_table`.
     """
-    return _teaching_utility_table(theta_true, priors, weights,
-                                   lambda grid: _likelihood_table(grid, qg, form))[0].ravel()
+    tables = [_likelihood_table(p.grid, qg, form) for p in priors]
+    return _teaching_utility_table(theta_true, priors, weights, tables)[0].ravel()
 
 
 def l3_teaching_policy(theta_true: float, priors: Sequence[GridBelief],
@@ -607,14 +604,16 @@ def l3_answer_policy(theta_true: float, q: Query, priors: Sequence[GridBelief],
     gets probability 0, so the teacher never gives an answer that its model
     of the learner cannot take; otherwise the softmax of the two utilities.
     """
-    return _answer_policy(theta_true, _query_likelihoods(q, form), priors, weights, beta_h)
+    return _answer_policy(theta_true, priors, weights,
+                          [answer_likelihoods(p.grid.points, q, form)[None, :] for p in priors],
+                          beta_h)
 
 
-def _answer_policy(theta_true: float, likelihoods: Callable[[ThetaGrid], np.ndarray],
-                   priors: Sequence[GridBelief], weights: Sequence[float] | None,
+def _answer_policy(theta_true: float, priors: Sequence[GridBelief],
+                   weights: Sequence[float] | None, likelihoods: Sequence[np.ndarray],
                    beta_h: float) -> float:
     """:func:`l3_answer_policy` for the query whose (1, K) answer-1 likelihoods
-    on a grid are ``likelihoods(grid)``."""
+    on each prior's grid are the matching entry of ``likelihoods``."""
     u, possible = _teaching_utility_table(theta_true, priors, weights, likelihoods)
     if not possible[0].all():
         return float(possible[0, 1])

@@ -34,6 +34,7 @@ from .inference import (
     _likelihood_table,
     eig_map,
     entropy,
+    sample_index,
 )
 from .agents import (
     MleSearchConfig,
@@ -266,10 +267,10 @@ def run_interaction_loop(cfg: ScenarioConfig, learner_level: int, teacher_level:
     The level-2 learner asks from its softmax policy and updates literally.
     A level-1 teacher answers from the choice model at ``theta_true``; a
     level-3 teacher answers strategically, attributing the learner's current
-    belief exactly (a single-particle second-order belief kept in sync).  The
-    level-3 teacher and the learner's update read the asked query's row of the
-    cached likelihood table, the row that ``l3_answer_policy`` and
-    ``posterior_update`` compute afresh.
+    belief exactly (a single-particle second-order belief kept in sync).  Each
+    round draws one candidate index; the level-3 teacher and the learner's
+    update read that candidate's row of the cached likelihood table, the row
+    that ``l3_answer_policy`` and ``posterior_update`` compute afresh.
     """
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
@@ -285,12 +286,10 @@ def run_interaction_loop(cfg: ScenarioConfig, learner_level: int, teacher_level:
     qg, form = cfg.query_grid, cfg.reward_form
     table = _likelihood_table(cfg.theta_grid, qg, form)
     for t in range(rounds):
-        policy = l2_query_policy(belief, qg, cfg.beta_a, form)
-        q = l2_select_query(policy, rng_q)
-        lik = table[qg.index_of(q)]
+        c = sample_index(l2_query_policy(belief, qg, cfg.beta_a, form).probs, rng_q)
+        q, lik = qg.query_at(c), table[c]
         p1 = (response_prob(cfg.theta_true, q, form) if teacher_level == 1 else
-              _answer_policy(cfg.theta_true, lambda _grid: lik[None, :], [belief], None,
-                             cfg.beta_h))
+              _answer_policy(cfg.theta_true, [belief], None, [lik[None, :]], cfg.beta_h))
         y = 1 if rng_a.random() < p1 else 0
         belief = _bayes_update(belief, q, lik, y)
         report.trace.append((t, q.x1, q.x2, y, entropy(belief)))

@@ -145,7 +145,7 @@ def _likelihood_table(grid: ThetaGrid, qg: QueryGrid, form: str) -> np.ndarray:
 
 def predictive_answer_prob(b: GridBelief, q: Query, form: str = ABSOLUTE_DISTANCE) -> float:
     """Belief-averaged probability of ``y = 1``."""
-    return float(np.sum(b.mass * answer_likelihoods(b.grid.points, q, form)))
+    return float(_bayes_rule(b.mass, answer_likelihoods(b.grid.points, q, form), 1)[1])
 
 
 def posterior_update(b: GridBelief, q: Query, y: int, form: str = ABSOLUTE_DISTANCE) -> GridBelief:
@@ -155,13 +155,20 @@ def posterior_update(b: GridBelief, q: Query, y: int, form: str = ABSOLUTE_DISTA
     return _bayes_update(b, q, answer_likelihoods(b.grid.points, q, form), y)
 
 
+def _bayes_rule(mass: np.ndarray, lik1: np.ndarray, y: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bayes' rule on a grid: the unnormalized posterior ``mass * P(y | theta)``
+    and its total along the last axis, for the answer-1 likelihoods ``lik1`` of
+    one query, (K,), or of C queries, (C, K); answer 0 has likelihood
+    ``1 - lik1``.  The learner's update and the level-3 teacher's model of it
+    both run this rule, so the two agree bit for bit."""
+    unnorm = mass * (lik1 if y == 1 else 1.0 - lik1)
+    return unnorm, np.sum(unnorm, axis=-1)
+
+
 def _bayes_update(b: GridBelief, q: Query, lik: np.ndarray, y: int) -> GridBelief:
     """:func:`posterior_update` given the (K,) answer-1 likelihoods ``lik`` of
     ``q`` on the belief's grid."""
-    if y == 0:
-        lik = 1.0 - lik
-    unnorm = b.mass * lik
-    total = np.sum(unnorm)
+    unnorm, total = _bayes_rule(b.mass, lik, y)
     if total <= 0.0:
         raise ImpossibleEvidenceError(
             f"answer y={y} to {q} has zero likelihood under the belief")

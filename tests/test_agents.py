@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -545,6 +546,10 @@ class TestSeparableSummedKernel:
     }
 
     def test_bytes_identical_across_blas_thread_counts(self):
+        """The summed kernel's digests at 1 and 2 BLAS threads.  They were taken
+        with numpy 2.4.6 dispatching to AVX-512 on glibc 2.36; an AVX2-only
+        dispatch moves them (README, "Pinned bits belong to one host and one
+        scipy")."""
         code = ("import json, sys\n"
                 f"sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})\n"
                 "from test_agents import _summed_digests\n"
@@ -632,7 +637,13 @@ def _summed_digests():
 
 
 class TestExactNormalizer:
-    """``_exact_objective`` pinned bit for bit at any thread count."""
+    """``_exact_objective`` pinned bit for bit at any thread count.
+
+    The digests were taken with numpy 2.4.6 dispatching to AVX-512 on glibc
+    2.36; an AVX2-only dispatch moves them (README, "Pinned bits belong to
+    one host and one scipy").  Exact mode also takes ``logsumexp`` and
+    ``xlogy`` from the installed scipy (1.17.1 here), so another scipy
+    release can move them too."""
 
     # sha256 of the (40,) objective bytes on the fig3 seed-0 queries; a
     # change to any bit of the exact arithmetic shows here.
@@ -1021,6 +1032,61 @@ class TestAnswerPolicy:
                 l3_teaching_utilities(2.0, [prior, prior], weights, QueryGrid(-6.0, 6.0, 3))
 
 
+class TestTeacherRunsTheLearnersUpdate:
+    """The interaction loop's path, one candidate's row of the cached likelihood
+    table fed to ``_bayes_update`` and ``_answer_policy``, against the public
+    ``posterior_update`` and ``l3_answer_policy``, and the teacher's utility
+    against the learner's own posterior, all bit for bit."""
+
+    @staticmethod
+    def _priors():
+        # The point-like prior at 5 makes many answers impossible under
+        # squared distance; on the grid from -1e10, some answer to every query
+        # against x = -1e10 is impossible under every prior.
+        return [discretize_belief(BeliefParams(5.0, 0.01, 5.0, 0.01, 0.5), TG),
+                discretize_belief(DOMINANT_LEFT, TG), uniform_belief(TG)]
+
+    def test_table_rows_give_the_public_functions_bits(self):
+        impossible = 0
+        for qg in (QueryGrid(-6.0, 6.0, 13), QueryGrid(-1e10, 6.0, 7)):
+            for form in REWARD_FORMS:
+                table = inference._likelihood_table(TG, qg, form)
+                for prior, c in itertools.product(self._priors(), range(qg.n_candidates)):
+                    q, lik = qg.query_at(c), table[c]
+                    for y in (0, 1):
+                        try:
+                            want = posterior_update(prior, q, y, form)
+                        except ImpossibleEvidenceError as err:
+                            impossible += 1
+                            with pytest.raises(ImpossibleEvidenceError) as got:
+                                inference._bayes_update(prior, q, lik, y)
+                            assert str(got.value) == str(err)
+                        else:
+                            got = inference._bayes_update(prior, q, lik, y)
+                            assert got.mass.tobytes() == want.mass.tobytes()
+                    for theta in (2.0, 5.0):
+                        got = agents._answer_policy(theta, [prior], None, [lik[None, :]], 50.0)
+                        assert got == l3_answer_policy(theta, q, [prior], None, 50.0, form)
+        assert impossible > 0
+
+    @pytest.mark.parametrize("form", REWARD_FORMS)
+    def test_teaching_utility_is_the_learners_posterior_mass(self, form):
+        rng = np.random.default_rng(15)
+        priors = self._priors()
+        for _ in range(3):
+            raw = rng.uniform(0.0, 1.0, TG.n_points) ** 4
+            priors.append(GridBelief(TG, raw / raw.sum()))
+        cands = teaching_candidates(QueryGrid(-6.0, 6.0, 13))
+        zeros = 0
+        for prior in priors:
+            for theta in (2.0, 5.0, -0.75):
+                for tc in cands:
+                    want = _learner_mass(tc, theta, prior, form)
+                    assert l3_teaching_utility(tc, theta, prior, form) == want
+                    zeros += want == 0.0
+        assert zeros > 0
+
+
 class TestL4:
     def test_singleton_utility_is_one(self):
         ens = BeliefEnsemble.single(DOMINANT_LEFT)
@@ -1126,7 +1192,11 @@ class TestBayesFactor:
 class TestPinnedLadderBits:
     """The teacher's utilities and the ToM, level-4 and Bayes-factor numbers,
     pinned bit for bit.  A change to any bit of the teaching table, the
-    level-2 and level-4 softmax or the observer's reweighting shows here."""
+    level-2 and level-4 softmax or the observer's reweighting shows here.
+
+    The digests were taken with numpy 2.4.6 dispatching to AVX-512 on glibc
+    2.36; an AVX2-only dispatch moves them (README, "Pinned bits belong to
+    one host and one scipy")."""
 
     # sha256 of the float64 bytes of the values built below.
     TEACHING = {

@@ -417,6 +417,11 @@ teach_uniform.csv d7dd98ca2c25b13af52d0fd478088391b4b48a268d38ff551a96f44083f90e
 
 
 class TestReproduceBytes:
+    """Every output file of each reduced figure run, pinned by checksum.  The
+    checksums were taken with numpy 2.4.6 dispatching to AVX-512 on glibc
+    2.36; an AVX2-only dispatch moves them (README, "Pinned bits belong to one
+    host and one scipy")."""
+
     @pytest.mark.parametrize("figure", sorted(PINNED_OUTPUTS))
     def test_every_output_checksum_is_pinned(self, figure, tmp_path):
         cfg = tmp_path / "reduced.cfg"
