@@ -44,6 +44,7 @@ from .inference import (
     _binary_entropy,
     _likelihood_table,
     _require_rationality,
+    _xlogx,
     answer_likelihoods,
     eig_map,
     expected_info_gain,
@@ -56,8 +57,8 @@ from .inference import (
 # memory at roughly batch * n_grid_points * 8 bytes per temporary in the
 # exact data term and batch * n_queries * 8 bytes in a summed block of whole
 # (mu1, mu2) pairs.  The exact normalizer goes one row at a time, with one (C, K)
-# buffer per worker beside the grid's cached ``L`` and one ``1 - L``
-# (:func:`_exact_log_normalizers`).
+# buffer and one (C, K) ``x ln x`` temporary per worker beside the grid's cached
+# ``L`` and one ``1 - L`` (:func:`_exact_log_normalizers`).
 _SEARCH_CHUNK = 1024
 
 # Search coordinates are (mu1, mu2, log s1, log s2, p_z): the sigma axes of
@@ -221,13 +222,11 @@ def _coarse_axes(ranges: Sequence[ParamRange]) -> list[np.ndarray]:
 
 
 # Exact mode, from here to :func:`_exact_objective`.  Its bits decide the
-# rounding ties pinned by the benchmark reference, so this block stays frozen
-# until that reference is regenerated.  So it keeps scipy's ``xlogy`` and
-# ``logsumexp`` on purpose: numpy's vectorized log (``inference._xlogx``)
-# differs from them in last bits, and a last bit here can swap two tied
-# candidates.  They and the thread pool are imported inside the functions that
-# use them, in the calling thread before any worker starts, so that only exact
-# attribution loads ``scipy.special`` and ``concurrent.futures``.
+# rounding ties pinned by the benchmark reference: a last bit here can swap two
+# tied candidates.  So a change to this block must keep all 12 ``exact``
+# entries of ``perfbench/reference.json``.  The thread pool is imported inside
+# :func:`_exact_log_normalizers`, so that only exact attribution loads
+# ``concurrent.futures``.
 def _mixture_mass_batch(params: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Normalized grid mass for a (B, 5) batch of mixture parameters.
 
@@ -263,9 +262,7 @@ def _summed_eig_batch(mass: np.ndarray, lik1: np.ndarray) -> np.ndarray:
     ``t_y = mass * lik_y``.  All reductions are fixed-order einsum loops, so
     results do not depend on BLAS threading.
     """
-    from scipy.special import xlogy
-
-    a = xlogy(mass, mass)
+    a = _xlogx(mass)
     neg_h = np.einsum("bk->b", a)
     row_sum = np.einsum("bk->b", mass)
     total = np.zeros(mass.shape[0])
@@ -276,8 +273,8 @@ def _summed_eig_batch(mass: np.ndarray, lik1: np.ndarray) -> np.ndarray:
         # sum_k t ln t = sum_k (m ln m) * lik + sum_k m * (lik ln lik)
         a1 = np.einsum("bk,k->b", a, lik)
         a0 = neg_h - a1
-        q1 = a1 + np.einsum("bk,k->b", mass, xlogy(lik, lik))
-        q0 = a0 + np.einsum("bk,k->b", mass, xlogy(lik0, lik0))
+        q1 = a1 + np.einsum("bk,k->b", mass, _xlogx(lik))
+        q0 = a0 + np.einsum("bk,k->b", mass, _xlogx(lik0))
         with np.errstate(divide="ignore", invalid="ignore"):
             h1 = np.log(s1) - q1 / s1
             h0 = np.log(s0) - q0 / s0
@@ -294,6 +291,12 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def _log_sum_exp(z: np.ndarray) -> np.floating:
+    """``log sum exp(z)`` of a finite ``z``, its maximum taken out before ``exp``."""
+    mx = np.max(z)
+    return mx + np.log(np.sum(np.exp(z - mx)))
+
+
 def _exact_log_normalizers(params: np.ndarray, grid: ThetaGrid, qg: QueryGrid, form: str,
                            beta_a: float) -> np.ndarray:
     """Exact-mode (B,) normalizers ``log sum_c exp(beta_a * EIG_c(m))`` of the
@@ -306,14 +309,12 @@ def _exact_log_normalizers(params: np.ndarray, grid: ThetaGrid, qg: QueryGrid, f
     grid (:func:`inference._likelihood_table`) and one shared ``1 - L``.  Rows
     are dealt round-robin to one thread per CPU; each thread owns one (C, K)
     buffer and computes and writes only its own rows, start to finish, so the
-    thread count never changes a bit.  The table and the scipy functions are
-    fetched here, before the workers start.  Workers call only private
-    functions and scipy: perfbench's tracer wraps the public ones with one
-    span stack, which a second thread would corrupt.
+    thread count never changes a bit.  The table is fetched here, before the
+    workers start.  Workers call only private functions: perfbench's tracer
+    wraps the public ones with one span stack, which a second thread would
+    corrupt.
     """
     from concurrent.futures import ThreadPoolExecutor
-
-    from scipy.special import logsumexp, xlogy
 
     points = grid.points
     lik1 = _likelihood_table(grid, qg, form)
@@ -328,17 +329,16 @@ def _exact_log_normalizers(params: np.ndarray, grid: ThetaGrid, qg: QueryGrid, f
         with np.errstate(divide="ignore", invalid="ignore"):
             for r in range(first, n, workers):
                 m = _mixture_mass_batch(params[r:r + 1], points)
-                prior_h = -np.sum(xlogy(m, m), axis=-1)
+                prior_h = -np.sum(_xlogx(m), axis=-1)
                 terms = []
                 for lik in (lik1, lik0):
                     np.multiply(m, lik, out=buf)
                     p = np.sum(buf, axis=-1)
                     np.divide(buf, p[:, None], out=buf)
-                    xlogy(buf, buf, out=buf)
-                    h = -np.sum(buf, axis=-1)
+                    h = -np.sum(_xlogx(buf), axis=-1)
                     # An answer with zero predictive probability adds its limit, 0.
                     terms.append(np.where(p > 0, p * (prior_h - h), 0.0))
-                out[r] = logsumexp(beta_a * (terms[0] + terms[1]))
+                out[r] = _log_sum_exp(beta_a * (terms[0] + terms[1]))
 
     with ThreadPoolExecutor(workers) as pool:
         list(pool.map(work, range(workers)))
@@ -413,9 +413,7 @@ def mle_objective(queries: Sequence[Query], bp: BeliefParams, qg: QueryGrid,
     gains = [expected_info_gain(b, q, form) for q in queries]
     if not exact:
         return float(sum(gains))
-    from scipy.special import logsumexp
-
-    log_z = float(logsumexp(beta_a * eig_map(b, qg, form)))
+    log_z = float(_log_sum_exp(beta_a * eig_map(b, qg, form)))
     return float(sum(beta_a * g - log_z for g in gains))
 
 

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import xlogy
+from scipy.special import logsumexp, xlogy
 
 import querymind
 from querymind import agents, inference
@@ -548,8 +548,7 @@ class TestSeparableSummedKernel:
     def test_bytes_identical_across_blas_thread_counts(self):
         """The summed kernel's digests at 1 and 2 BLAS threads.  They were taken
         with numpy 2.4.6 dispatching to AVX-512 on glibc 2.36; an AVX2-only
-        dispatch moves them (README, "Pinned bits belong to one host and one
-        scipy")."""
+        dispatch moves them (README, "Pinned bits belong to one host")."""
         code = ("import json, sys\n"
                 f"sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})\n"
                 "from test_agents import _summed_digests\n"
@@ -641,14 +640,12 @@ class TestExactNormalizer:
 
     The digests were taken with numpy 2.4.6 dispatching to AVX-512 on glibc
     2.36; an AVX2-only dispatch moves them (README, "Pinned bits belong to
-    one host and one scipy").  Exact mode also takes ``logsumexp`` and
-    ``xlogy`` from the installed scipy (1.17.1 here), so another scipy
-    release can move them too."""
+    one host")."""
 
     # sha256 of the (40,) objective bytes on the fig3 seed-0 queries; a
     # change to any bit of the exact arithmetic shows here.
     DIGESTS = {
-        "absolute_distance": "e6d91a00f49ef340748ab73edb61fcd89e7a27191bc6255b8ad266a13e3b9c1e",
+        "absolute_distance": "a5ea3305659db1564bf44e536ae4826cdc1c05317d76ab7efe3b827d61cec7c1",
         SQUARED_DISTANCE: "e1ef71053c969e626e6fade1df1c43bbbaa60795df52a7859a5540a10cc6245d",
     }
     # The same density twice; rounding decides which one wins the search.
@@ -694,6 +691,76 @@ class TestExactNormalizer:
         assert np.all(np.isfinite(got[3:]))
         if form == "absolute_distance":
             assert got[:2].tolist() == [-121.14544991725427, -121.14544991725404]
+
+    @staticmethod
+    def _scipy_log_normalizers(rows, grid, qg, form, beta):
+        """The exact normalizers as scipy computes them: ``xlogy`` for
+        ``x ln x`` and ``logsumexp``, one row at a time in one thread."""
+        lik1 = inference._likelihood_table(grid, qg, form)
+        out = []
+        for row in rows:
+            m = agents._mixture_mass_batch(row[None], grid.points)
+            prior_h = -np.sum(xlogy(m, m), axis=-1)
+            gain = 0.0
+            for lik in (lik1, 1.0 - lik1):
+                t = m * lik
+                p = np.sum(t, axis=-1)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    post = t / p[:, None]
+                    h = -np.sum(xlogy(post, post), axis=-1)
+                gain = gain + np.where(p > 0, p * (prior_h - h), 0.0)
+            out.append(logsumexp(beta * gain))
+        return np.array(out)
+
+    @pytest.mark.parametrize("form", REWARD_FORMS)
+    def test_agrees_with_scipy_oracle(self, form, monkeypatch):
+        cfg = bimodal_config(0)
+        queries = sample_queries(cfg, discretize_belief(cfg.prior, cfg.theta_grid))
+        points = cfg.theta_grid.points
+        rows = self._rows()
+        want_z = self._scipy_log_normalizers(rows, cfg.theta_grid, cfg.query_grid, form,
+                                             cfg.beta_a)
+        got_z = _exact_log_normalizers(rows, cfg.theta_grid, cfg.query_grid, form, cfg.beta_a)
+        np.testing.assert_allclose(got_z, want_z, rtol=1e-14)
+        lik1 = _dataset_likelihoods(queries, points, form)
+        got = _exact_objective(rows, lik1, points, cfg.beta_a, got_z, len(queries))
+        with monkeypatch.context() as m:
+            # The data term on scipy's x ln x.
+            m.setattr(agents, "_xlogx", lambda x: xlogy(x, x))
+            want = _exact_objective(rows, lik1, points, cfg.beta_a, want_z, len(queries))
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+        # mle_objective's normalizer, on a few of the rows.
+        for row in rows[3:8]:
+            b = discretize_belief(BeliefParams(*row), cfg.theta_grid)
+            log_z = logsumexp(cfg.beta_a * eig_map(b, cfg.query_grid, form))
+            want = sum(cfg.beta_a * expected_info_gain(b, q, form) - log_z for q in queries)
+            got = mle_objective(queries, BeliefParams(*row), cfg.query_grid, cfg.theta_grid,
+                                form, exact=True, beta_a=cfg.beta_a)
+            np.testing.assert_allclose(got, want, rtol=1e-14)
+
+    def test_runs_without_scipy(self):
+        # Exact attribution, search and scalar score, with any scipy import
+        # raising ImportError.
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from querymind import BeliefParams, Query, QueryGrid, ThetaGrid\n"
+            "from querymind.agents import MleSearchConfig, ParamRange, mle_belief, "
+            "mle_objective\n"
+            "r = ParamRange\n"
+            "cfg = MleSearchConfig(r(-6.0, 0.0, 3), r(0.0, 6.0, 2), r(0.3, 1.2, 2),\n"
+            "                      r(0.3, 1.2, 2), r(0.1, 0.9, 2), 1)\n"
+            "tg, qg = ThetaGrid(-6.0, 6.0, 41), QueryGrid(-6.0, 6.0, 7)\n"
+            "qs = [Query(-4.0, 2.0), Query(2.0, -4.0), Query(-6.0, 6.0)]\n"
+            "print(mle_belief(qs, cfg, qg, tg, exact=True).astuple())\n"
+            "print(mle_objective(qs, BeliefParams(-3.0, 1.0, 3.0, 1.0, 0.5), qg, tg,\n"
+            "                    exact=True))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(querymind.__file__)))
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert len(done.stdout.splitlines()) == 2
 
     def test_huge_rationality_scores_without_nan(self):
         # beta_a * gain and n_queries * log_z both overflowed, so every row
@@ -1196,7 +1263,7 @@ class TestPinnedLadderBits:
 
     The digests were taken with numpy 2.4.6 dispatching to AVX-512 on glibc
     2.36; an AVX2-only dispatch moves them (README, "Pinned bits belong to
-    one host and one scipy")."""
+    one host")."""
 
     # sha256 of the float64 bytes of the values built below.
     TEACHING = {

@@ -420,7 +420,7 @@ class TestReproduceBytes:
     """Every output file of each reduced figure run, pinned by checksum.  The
     checksums were taken with numpy 2.4.6 dispatching to AVX-512 on glibc
     2.36; an AVX2-only dispatch moves them (README, "Pinned bits belong to one
-    host and one scipy")."""
+    host")."""
 
     @pytest.mark.parametrize("figure", sorted(PINNED_OUTPUTS))
     def test_every_output_checksum_is_pinned(self, figure, tmp_path):

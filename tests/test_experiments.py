@@ -200,7 +200,7 @@ class TestInteractionLoop:
     def test_full_scale_traces_are_pinned(self, teacher, form, seed):
         """The digests were taken with numpy 2.4.6 dispatching to AVX-512 on
         glibc 2.36; an AVX2-only dispatch moves 10 of the 12 (README, "Pinned
-        bits belong to one host and one scipy")."""
+        bits belong to one host")."""
         trace = run_interaction_loop(ScenarioConfig(seed=seed, reward_form=form), 2, teacher,
                                      40).trace
         digest = hashlib.sha256(np.array(trace, dtype=np.float64).tobytes()).hexdigest()

@@ -114,11 +114,12 @@ class TestLogistic:
             assert got.shape == () and got.tobytes() == expit(v).tobytes()
 
     def test_importing_the_package_does_not_load_scipy_special(self):
-        # Only exact attribution needs scipy.special and the thread pool; both
-        # are imported where that code runs.
+        # The package imports no scipy module at all, and only exact
+        # attribution needs the thread pool, which it imports where it runs.
         src = os.path.dirname(os.path.dirname(os.path.abspath(querymind.__file__)))
         code = ("import sys, querymind, querymind.cli\n"
-                "print([m for m in ('scipy.special', 'concurrent.futures') if m in sys.modules])")
+                "print([m for m in sys.modules\n"
+                "       if m.split('.')[0] == 'scipy' or m == 'concurrent.futures'])")
         done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                               check=True, capture_output=True, text=True)
         assert done.stdout.strip() == "[]"
@@ -282,7 +283,7 @@ class TestPinnedMixtureBits:
     hundreds of units off the grid whose squared z-scores overflow, and group
     weights 0 and 1.  The digests are sha256 of the float64 bytes, taken with
     numpy 2.4.6 dispatching to AVX-512 on glibc 2.36; an AVX2-only dispatch
-    moves them (README, "Pinned bits belong to one host and one scipy")."""
+    moves them (README, "Pinned bits belong to one host")."""
 
     PRIORS = (
         BeliefParams(0.0, MIN_SIGMA, 0.5, 1.0, 0.5),
