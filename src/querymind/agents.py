@@ -37,6 +37,7 @@ from .model import (
 )
 from .inference import (
     LN2,
+    _TABLE_BLOCK,
     ImpossibleEvidenceError,
     QueryGrid,
     QueryPolicy,
@@ -56,9 +57,10 @@ from .inference import (
 # Batch size for vectorized search over candidate mixtures; bounds peak
 # memory at roughly batch * n_grid_points * 8 bytes per temporary in the
 # exact data term and batch * n_queries * 8 bytes in a summed block of whole
-# (mu1, mu2) pairs.  The exact normalizer goes one row at a time, with one (C, K)
-# buffer and one (C, K) ``x ln x`` temporary per worker beside the grid's cached
-# ``L`` and one ``1 - L`` (:func:`_exact_log_normalizers`).
+# (mu1, mu2) pairs.  The exact normalizer goes one row at a time and reads the
+# grid's cached ``L`` in ``_TABLE_BLOCK``-candidate slices, so each worker holds
+# a few (_TABLE_BLOCK, K) temporaries and one (C,) gain map, whatever the query
+# grid's size (:func:`_exact_log_normalizers`).
 _SEARCH_CHUNK = 1024
 
 # Search coordinates are (mu1, mu2, log s1, log s2, p_z): the sigma axes of
@@ -304,12 +306,14 @@ def _exact_log_normalizers(params: np.ndarray, grid: ThetaGrid, qg: QueryGrid, f
 
     The softmax query policy's normalizer.  Each row's mass ``m``
     (:func:`_mixture_mass_batch`) gets a gain map computed as the scalar path
-    does it (posterior normalization followed by entropy, answer 1 before
-    answer 0) against the cached (C, K) likelihoods ``L`` of the candidate
-    grid (:func:`inference._likelihood_table`) and one shared ``1 - L``.  Rows
-    are dealt round-robin to one thread per CPU; each thread owns one (C, K)
-    buffer and computes and writes only its own rows, start to finish, so the
-    thread count never changes a bit.  The table is fetched here, before the
+    does it (the learner's update :func:`inference._bayes_rule`, posterior
+    normalization, then entropy, answer 1 before answer 0) against the cached
+    (C, K) likelihoods ``L`` of the candidate grid
+    (:func:`inference._likelihood_table`), read ``_TABLE_BLOCK`` candidates at
+    a time.  Rows are dealt round-robin to one thread per CPU; each thread
+    holds a few (``_TABLE_BLOCK``, K) temporaries and one (C,) gain map, and
+    computes and writes only its own rows, start to finish, so the thread
+    count never changes a bit.  The table is fetched here, before the
     workers start.  Workers call only private functions: perfbench's tracer
     wraps the public ones with one span stack, which a second thread would
     corrupt.
@@ -318,27 +322,29 @@ def _exact_log_normalizers(params: np.ndarray, grid: ThetaGrid, qg: QueryGrid, f
 
     points = grid.points
     lik1 = _likelihood_table(grid, qg, form)
-    lik0 = 1.0 - lik1
+    n_cands = lik1.shape[0]
     n = params.shape[0]
     out = np.empty(n)
     workers = min(_cpu_count(), n)
 
     def work(first: int) -> None:
-        buf = np.empty(lik1.shape)
+        gain = np.empty(n_cands)
         # numpy's error state is per thread.
         with np.errstate(divide="ignore", invalid="ignore"):
             for r in range(first, n, workers):
                 m = _mixture_mass_batch(params[r:r + 1], points)
                 prior_h = -np.sum(_xlogx(m), axis=-1)
-                terms = []
-                for lik in (lik1, lik0):
-                    np.multiply(m, lik, out=buf)
-                    p = np.sum(buf, axis=-1)
-                    np.divide(buf, p[:, None], out=buf)
-                    h = -np.sum(_xlogx(buf), axis=-1)
-                    # An answer with zero predictive probability adds its limit, 0.
-                    terms.append(np.where(p > 0, p * (prior_h - h), 0.0))
-                out[r] = _log_sum_exp(beta_a * (terms[0] + terms[1]))
+                for start in range(0, n_cands, _TABLE_BLOCK):
+                    rows = slice(start, start + _TABLE_BLOCK)
+                    terms = []
+                    for y in (1, 0):
+                        post, p = _bayes_rule(m, lik1[rows], y)
+                        post /= p[:, None]
+                        h = -np.sum(_xlogx(post), axis=-1)
+                        # An answer with zero predictive probability adds its limit, 0.
+                        terms.append(np.where(p > 0, p * (prior_h - h), 0.0))
+                    gain[rows] = terms[0] + terms[1]
+                out[r] = _log_sum_exp(beta_a * gain)
 
     with ThreadPoolExecutor(workers) as pool:
         list(pool.map(work, range(workers)))
@@ -551,24 +557,28 @@ def _teaching_utility_table(theta_true: float, priors: Sequence[GridBelief],
     after each candidate query is answered ``y = 0`` (column 0) or 1, and the
     (C, 2) mask of the answers that some prior gives nonzero likelihood.
     ``likelihoods`` holds, for each prior, the (C, K) answer-1 likelihoods of
-    the candidates on that prior's grid.  Each posterior is the learner's own
-    update, :func:`inference._bayes_rule`; an answer of zero likelihood under
-    a prior adds utility 0 for that prior."""
+    the candidates on that prior's grid, read ``_TABLE_BLOCK`` candidates at a
+    time.  Each posterior is the learner's own update,
+    :func:`inference._bayes_rule`; an answer of zero likelihood under a prior
+    adds utility 0 for that prior."""
     if len(priors) == 0:
         raise InvalidInputError("need at least one learner-belief particle")
     if weights is None:
         w = np.full(len(priors), 1.0 / len(priors))
     else:
         w = _require_probabilities(weights, len(priors), "weights")
-    total = np.zeros((likelihoods[0].shape[0], 2))
+    n_cands = likelihoods[0].shape[0]
+    total = np.zeros((n_cands, 2))
     possible = np.zeros(total.shape, dtype=bool)
     for weight, prior, lik1 in zip(w, priors, likelihoods, strict=True):
         target = prior.grid.index_of(theta_true)
-        for y in (0, 1):
-            t, s = _bayes_rule(prior.mass, lik1, y)
-            total[:, y] += weight * np.divide(t[:, target], s, out=np.zeros_like(s),
-                                              where=s > 0)
-            possible[:, y] |= s > 0
+        for start in range(0, n_cands, _TABLE_BLOCK):
+            rows = slice(start, start + _TABLE_BLOCK)
+            for y in (0, 1):
+                t, s = _bayes_rule(prior.mass, lik1[rows], y)
+                total[rows, y] += weight * np.divide(t[:, target], s, out=np.zeros_like(s),
+                                                     where=s > 0)
+                possible[rows, y] |= s > 0
     return total, possible
 
 

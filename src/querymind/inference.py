@@ -46,9 +46,11 @@ from .model import (
 
 LN2 = float(np.log(2.0))
 
-# Candidate pairs per block while a likelihood or gain table is built; bounds
-# each temporary at about _TABLE_BLOCK * n_points * 8 bytes (about four times
-# that for the Python floats of the logistic).
+# Candidate pairs per block while a likelihood or gain table is built, and while
+# the exact normalizer and the teaching table read the likelihood table
+# (``agents``); bounds each temporary at about _TABLE_BLOCK * n_points * 8 bytes
+# (about four times that for the Python floats of the logistic), so a reader's
+# memory does not grow with the number of candidates.
 _TABLE_BLOCK = 256
 
 
@@ -160,8 +162,13 @@ def _bayes_rule(mass: np.ndarray, lik1: np.ndarray, y: int) -> tuple[np.ndarray,
     and its total along the last axis, for the answer-1 likelihoods ``lik1`` of
     one query, (K,), or of C queries, (C, K); answer 0 has likelihood
     ``1 - lik1``.  The learner's update and the level-3 teacher's model of it
-    both run this rule, so the two agree bit for bit."""
-    unnorm = mass * (lik1 if y == 1 else 1.0 - lik1)
+    both run this rule, so the two agree bit for bit.  Either answer allocates
+    one array, the posterior, so ``mass`` must broadcast to ``lik1``'s shape."""
+    if y == 1:
+        unnorm = mass * lik1
+    else:
+        unnorm = 1.0 - lik1
+        unnorm *= mass
     return unnorm, np.sum(unnorm, axis=-1)
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -1285,8 +1286,12 @@ class TestPinnedLadderBits:
     def _digest(values):
         return hashlib.sha256(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()
 
-    @pytest.mark.parametrize("form", REWARD_FORMS)
-    def test_teaching_utilities_are_pinned(self, form):
+    # The teaching utilities' query grid and targets.
+    TEACHING_QG = QueryGrid(-6.0, 6.0, 13)
+    TARGETS = (2.0, 5.0, -0.75)
+
+    @staticmethod
+    def _teaching_priors():
         # The point-like prior at 5 makes many answers impossible under
         # squared distance; the last three priors are random and peaked.
         rng = np.random.default_rng(15)
@@ -1295,9 +1300,13 @@ class TestPinnedLadderBits:
         for _ in range(3):
             raw = rng.uniform(0.0, 1.0, TG.n_points) ** 4
             priors.append(GridBelief(TG, raw / raw.sum()))
-        cands = teaching_candidates(QueryGrid(-6.0, 6.0, 13))
+        return priors
+
+    @pytest.mark.parametrize("form", REWARD_FORMS)
+    def test_teaching_utilities_are_pinned(self, form):
+        cands = teaching_candidates(self.TEACHING_QG)
         got = [l3_teaching_utility(tc, theta, prior, form)
-               for prior in priors for theta in (2.0, 5.0, -0.75) for tc in cands]
+               for prior in self._teaching_priors() for theta in self.TARGETS for tc in cands]
         assert self._digest(got) == self.TEACHING[form]
 
     @pytest.mark.parametrize("n", [2, 4])
@@ -1318,3 +1327,43 @@ class TestPinnedLadderBits:
             for j in range(n):
                 got.extend(l4_query_policy(j, ens, lam, QG, TG, 20.0, form).probs)
         assert self._digest(got) == self.INTENT[n, form]
+
+
+class TestTableBlocks:
+    """The exact normalizer and the teaching table read the cached likelihood
+    table ``_TABLE_BLOCK`` candidates at a time: the slicing moves no bit, and
+    neither reader holds a temporary the size of the table."""
+
+    # One candidate per block, 7 (a partial last block on 169 and 2401
+    # candidates) and one block for the whole grid.
+    @pytest.mark.parametrize("block", [1, 7, 10_000])
+    def test_block_size_moves_no_bit(self, block, monkeypatch):
+        monkeypatch.setattr(agents, "_TABLE_BLOCK", block)
+        pinned = TestPinnedLadderBits
+        for form in REWARD_FORMS:
+            got = TestExactNormalizer()._scores(form)
+            assert hashlib.sha256(got.tobytes()).hexdigest() == TestExactNormalizer.DIGESTS[form]
+            # The whole-table path, in the pinned test's (prior, target, example) order.
+            got = [l3_teaching_utilities(theta, [prior], None, pinned.TEACHING_QG, form)
+                   for prior in pinned._teaching_priors() for theta in pinned.TARGETS]
+            assert pinned._digest(np.concatenate(got)) == pinned.TEACHING[form]
+
+    def test_readers_stay_below_one_table(self):
+        # 9409 candidates: the (C, K) table is 17.3 MiB.  Readers with (C, K)
+        # temporaries peak at 91.4 MiB in the normalizer (2 rows) and 35.0 MiB
+        # in the teaching table.
+        qg = QueryGrid(-6.0, 6.0, 97)
+        table = inference._likelihood_table(TG, qg, "absolute_distance")
+        rows = TestExactNormalizer()._rows()[3:5]
+        prior = discretize_belief(DOMINANT_LEFT, TG)
+        tracemalloc.start()
+        try:
+            _exact_log_normalizers(rows, TG, qg, "absolute_distance", 50.0)
+            normalizer_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            l3_teaching_utilities(2.0, [prior], None, qg)
+            teaching_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert normalizer_peak < table.nbytes
+        assert teaching_peak < table.nbytes
