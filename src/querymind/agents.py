@@ -443,13 +443,15 @@ def mle_belief(queries: Sequence[Query], cfg: MleSearchConfig, qg: QueryGrid,
     (none has mass on ``grid``), it raises :class:`DegenerateBeliefError`
     naming the ranges.
 
-    A pass scores its axes with :func:`_summed_objective`, or the rows of
-    :func:`_search_rows` with :func:`_exact_objective`, and reads the best
-    row's coordinates from the axes.  In exact mode the coarse pass takes its
-    normalizers from :func:`_coarse_log_normalizers`, computed once per
-    process for each coarse grid, theta grid, query grid, reward form and
-    ``beta_a``; each refinement pass, whose window follows the data, computes
-    its own with :func:`_exact_log_normalizers`.
+    A pass scores its axes, sigmas as ``np.exp`` of their log axes, with
+    :func:`_summed_objective`, or the rows of :func:`_search_rows` with
+    :func:`_exact_objective`.  The search returns the scored coordinates of
+    the best row and centres the next windows on its log-axis coordinates.
+    In exact mode the coarse pass takes its normalizers from
+    :func:`_coarse_log_normalizers`, computed once per process for each
+    coarse grid, theta grid, query grid, reward form and ``beta_a``; each
+    refinement pass, whose window follows the data, computes its own with
+    :func:`_exact_log_normalizers`.
     """
     if len(queries) == 0:
         raise InvalidInputError("query dataset must be nonempty")
@@ -468,9 +470,9 @@ def mle_belief(queries: Sequence[Query], cfg: MleSearchConfig, qg: QueryGrid,
     best_params: list[float] | None = None
     best_value = -np.inf
     for n_pass in range(1 + cfg.n_refine_iters):
+        scored = [np.exp(ax) if log else ax for ax, log in zip(axes, _LOG_SCALED)]
         if not exact:
-            values = _summed_objective([np.exp(ax) if log else ax
-                                        for ax, log in zip(axes, _LOG_SCALED)], lik1, points)
+            values = _summed_objective(scored, lik1, points)
         else:
             params = _search_rows(axes)
             # Refinement windows follow the data, so only the coarse pass's
@@ -482,10 +484,11 @@ def mle_belief(queries: Sequence[Query], cfg: MleSearchConfig, qg: QueryGrid,
         if best_params is None or values.flat[i] > best_value:
             best_value = float(values.flat[i])
             index = np.unravel_index(i, [ax.size for ax in axes])
-            best_params = [ax[k] for ax, k in zip(axes, index)]
+            centers = [ax[k] for ax, k in zip(axes, index)]
+            best_params = [ax[k] for ax, k in zip(scored, index)]
         widths = [0.5 * w for w in widths]
         axes = [np.linspace(*_clip_window(c, w, *b), r.count) if r.count > 1 else np.array([c])
-                for r, w, b, c in zip(ranges, widths, bounds, best_params)]
+                for r, w, b, c in zip(ranges, widths, bounds, centers)]
     if best_value == -np.inf:
         raise DegenerateBeliefError(
             f"no candidate belief has representable mass on the theta grid "
@@ -493,9 +496,8 @@ def mle_belief(queries: Sequence[Query], cfg: MleSearchConfig, qg: QueryGrid,
             + ", ".join(f"{name} [{float(r.lo)!r}, {float(r.hi)!r}]"
                         for name, r in zip(("mu1", "mu2", "sigma1", "sigma2", "p_z"), ranges))
             + " scored -inf")
-    bp = BeliefParams(best_params[0], math.exp(best_params[2]),
-                      best_params[1], math.exp(best_params[3]), best_params[4])
-    return canonicalize(bp)
+    mu1, mu2, sigma1, sigma2, p_z = best_params
+    return canonicalize(BeliefParams(mu1, sigma1, mu2, sigma2, p_z))
 
 
 def _l2_policy_matrix(ensemble: BeliefEnsemble, qg: QueryGrid, grid: ThetaGrid,

@@ -6,10 +6,10 @@ estimated.  All reductions are fixed-order ``np.sum`` or ``np.einsum`` loops
 (never BLAS: no ``@``, ``dot`` or ``einsum(optimize=...)``), which keeps
 results bit-identical across thread counts.
 
-Every whole-grid reader takes its answer likelihoods from one cached,
-read-only (C, K) table per theta grid, query grid and reward form,
-:func:`_likelihood_table`, so the choice model's per-element logistic runs
-once per table, not once per call.
+The teaching table, the interaction loop and the exact normalizer take their
+answer likelihoods from one cached, read-only (C, K) table per theta grid,
+query grid and reward form, :func:`_likelihood_table`; gain maps take theirs
+from the gain table, which builds only the rows it reads.
 
 Gain maps over a whole query grid use the mutual-information ("dual") form
 ``EIG(q) = H_b(L_q . m) - m . H_b(L_q)``: two ``einsum("ck,k->c", ...)``
@@ -19,8 +19,9 @@ only the pairs with ``x1 < x2``; a swapped pair has the same gain and a
 diagonal pair has none.
 
 Entropies take ``x ln x`` from :func:`_xlogx`, numpy's vectorized (SIMD)
-``np.log``.  Like ``np.exp`` in :func:`softmax_policy`, its last bits can
-depend on the CPU features numpy dispatches to, never on the thread count.
+``np.log``.  Like ``np.exp`` in the choice model's logistic and in
+:func:`softmax_policy`, its last bits can depend on the CPU features numpy
+dispatches to, never on the thread count.
 """
 
 from __future__ import annotations
@@ -48,9 +49,8 @@ LN2 = float(np.log(2.0))
 
 # Candidate pairs per block while a likelihood or gain table is built, and while
 # the exact normalizer and the teaching table read the likelihood table
-# (``agents``); bounds each temporary at about _TABLE_BLOCK * n_points * 8 bytes
-# (about four times that for the Python floats of the logistic), so a reader's
-# memory does not grow with the number of candidates.
+# (``agents``); bounds each temporary at about _TABLE_BLOCK * n_points * 8 bytes,
+# so a reader's memory does not grow with the number of candidates.
 _TABLE_BLOCK = 256
 
 
@@ -229,18 +229,21 @@ def _gain_table(grid: ThetaGrid, qg: QueryGrid, form: str):
     """Read-only ``(upper, lower, L, H_b(L))`` over the pairs with ``x1 < x2``.
 
     ``upper`` and ``lower`` are the candidate indices of each pair and of its
-    swap; ``L`` is the (P, K) matrix of answer-1 likelihoods, the ``upper``
-    rows of :func:`_likelihood_table`.  Built lazily, ``H_b(L)`` in row blocks,
-    once per (theta grid, query grid, reward form).
+    swap; ``L`` is the (P, K) matrix of answer-1 likelihoods of the ``upper``
+    pairs, bit for bit those rows of :func:`_likelihood_table`, which a gain
+    map never builds.  Built lazily, ``L`` and ``H_b(L)`` in row blocks, once
+    per (theta grid, query grid, reward form).
     """
     n = qg.n_per_axis
     i, j = np.triu_indices(n, k=1)
     upper = i * n + j
     lower = j * n + i
-    lik = _likelihood_table(grid, qg, form)[upper]
+    points, pairs = grid.points, qg.candidates[upper]
+    lik = np.empty((upper.size, points.size))
     h_lik = np.empty_like(lik)
     for start in range(0, upper.size, _TABLE_BLOCK):
         block = slice(start, start + _TABLE_BLOCK)
+        lik[block] = likelihood_matrix(points, pairs[block], form)
         h_lik[block] = _binary_entropy(lik[block])
     for a in (upper, lower, lik, h_lik):
         a.flags.writeable = False

@@ -9,10 +9,10 @@ from it on scalars, and every likelihood table of the learner and of the
 higher-order agents (``inference.likelihood_matrix``) evaluates it on whole
 grids, so the learner's model of the responder is the responder, bit for bit.
 
-The logistic, :func:`_logistic`, takes ``exp`` from the C library through
-:func:`math.exp`, one element at a time.  That is the formula and the ``exp``
-of ``scipy.special.expit``, so the bits are expit's, and importing this package
-does not import ``scipy.special``.
+The logistic, :func:`_logistic`, is expit's formula on numpy's vectorized
+``np.exp``, the ``exp`` of every other part of the program, so its last bits
+follow numpy's SIMD dispatch like the rest; importing this package does not
+import scipy.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # Smallest standard deviation accepted anywhere: below the smallest normal
 # float, ``1 / (sigma * sqrt(2 pi))`` can overflow to inf.
 MIN_SIGMA = sys.float_info.min
-
-# Largest argument whose exp is finite: past it ``math.exp`` raises OverflowError.
-_EXP_MAX = math.log(sys.float_info.max)
 
 
 class InvalidInputError(ValueError):
@@ -221,16 +218,15 @@ def _gap_limit(theta, x1, x2):
 def _logistic(x) -> np.ndarray:
     """``1 / (1 + exp(-x))`` elementwise, as a float64 array of ``x``'s shape.
 
-    ``exp`` is :func:`math.exp`, the C library's, as in ``scipy.special.expit``,
-    so the bits are expit's; numpy's vectorized ``np.exp`` can differ in the
-    last bit.  An argument whose exp overflows is first set to inf (where
-    ``math.exp`` would raise), so its logistic is the limit, 0.
+    ``exp`` is numpy's.  An ``exp(-x)`` that overflows is inf without a
+    warning, so its logistic is the limit, 0.  Within 2 ulp of the exact
+    value on [-40, 40], as is ``scipy.special.expit``; the two agree byte
+    for byte at 0, the subnormals, the overflow edges, +-inf and nan.
     """
     t = np.array(x, dtype=np.float64)
     np.negative(t, out=t)
-    t[t > _EXP_MAX] = np.inf
-    flat = t.reshape(-1)
-    flat[:] = np.fromiter(map(math.exp, flat.tolist()), np.float64, flat.size)
+    with np.errstate(over="ignore"):
+        np.exp(t, out=t)
     t += 1.0
     return np.divide(1.0, t, out=t)
 

@@ -529,21 +529,21 @@ class TestSeparableSummedKernel:
         half = _summed_objective(axes[:4] + [axes[4][1::2]], lik1, TG.points)
         assert whole[..., 1::2].tobytes() == half.tobytes()
 
-    # sha256 of the objective bytes of _summed_digests' grids.  The four
-    # dataset digests hold the bits of numpy's log in x ln x (inference._xlogx);
-    # the diagonal and unrepresentable ones match the row-by-row kernel that
-    # _summed_objective replaced.
+    # sha256 of the objective bytes of _summed_digests' grids.  The diagonal
+    # digest matches the row-by-row kernel that _summed_objective replaced; the
+    # other five hold the bits of numpy's exp in the choice model's logistic
+    # and of numpy's log in x ln x (inference._xlogx).
     DIGESTS = {
         "fig2-absolute_distance":
-            "9e3f9765aeb29f57e6973ac4dab3ecd5de571750df9e767db99cc454c8693838",
+            "737163c97e1b28653425dde3fdc5a9755a40721c9ac12815c5e99f8239adb663",
         "fig2-squared_distance":
-            "1895768cb7a4eed18ee2ece6676eb7205a48e056fe0111418eb502cb96a151cd",
+            "35894233b46377059bc9b8496348297e874d092b394e87509ed5ba2b80f53144",
         "fig3-absolute_distance":
-            "48da46afdb0e25a00ad164499c8b10fd8a54e0648f5b07a0806301628fea46da",
+            "83f216820203c93c0b1f80b0690671b7f19e9a5a6692be1efe0793a6a2544249",
         "fig3-squared_distance":
-            "af8b74df8147a566718ca1a18ad7e7d8508e6004e56290fd6e8d7f3f982b8c57",
+            "ca3659e32c7c241bacbbcc5be01972a3d99284effb1c14f9f7a710bd98d388c5",
         "diagonal": "26fc43b33daf0ab1ba978d8326fe61807118a73b6acb326b3d203019239b0227",
-        "unrepresentable": "90b1edebb5e624dacc10b2add612001d9e10eca78f0a9a2d0651cd41f45c44c8",
+        "unrepresentable": "11bd61ba3e96e05c41dbd95f42a800cd5e12b0b426ed8c144465ee82c8d092dc",
     }
 
     def test_bytes_identical_across_blas_thread_counts(self):
@@ -646,8 +646,8 @@ class TestExactNormalizer:
     # sha256 of the (40,) objective bytes on the fig3 seed-0 queries; a
     # change to any bit of the exact arithmetic shows here.
     DIGESTS = {
-        "absolute_distance": "a5ea3305659db1564bf44e536ae4826cdc1c05317d76ab7efe3b827d61cec7c1",
-        SQUARED_DISTANCE: "e1ef71053c969e626e6fade1df1c43bbbaa60795df52a7859a5540a10cc6245d",
+        "absolute_distance": "bd67856346feb7e48619611d30c671a0af21019bf7f907aa87f6f0469b10d258",
+        SQUARED_DISTANCE: "021064a951d80537340ab3237e194c7692ef92b8f26ae59e6de40a4def33a249",
     }
     # The same density twice; rounding decides which one wins the search.
     TIE = [(0.0, 2.0, 0.0, 2.0, 0.1), (0.0, 2.0, 0.0, 2.0, 0.9)]
@@ -1268,18 +1268,18 @@ class TestPinnedLadderBits:
 
     # sha256 of the float64 bytes of the values built below.
     TEACHING = {
-        "absolute_distance": "2f09a9641808d081bc0a21dae836ab4b3c4b1b7e41af4a0c73f4f6a970e8d1e5",
-        SQUARED_DISTANCE: "ac33860b5cc75dd87fe81f5700fe29464ee25548752a84b7f1c02e01853a201e",
+        "absolute_distance": "458f14a453145d3e4c837a01c21cbb77da34eada72c926619d2fe73744f6c992",
+        SQUARED_DISTANCE: "017951cb1e517ba1c3745ee54cb67f8b3bb6fcb031146c378ad71e7be0530b34",
     }
     INTENT = {
         (2, "absolute_distance"):
-            "c64ae895529f3f010438414a2fa572b4ddb2266d4083efb910c23cbbced536a7",
+            "6c98bd3832bbd781d6a2e0674e2069741b82e3c42925e1033f047bc2f48baeab",
         (4, "absolute_distance"):
-            "1b37bc91dc42c22d3d481bf3aa9ff97c4b1c9d43368d9c0dfdecb176d99bb6a2",
+            "433ca22277bea71eb16aba76820191ea0e39e7182c5bc86437498392f7da310c",
         (2, SQUARED_DISTANCE):
-            "d0934df026bbaab5853eedfa97067a198bb0baeab9218b1f0f4cc8e329156869",
+            "e7e1641b3449c7d87760c4b4ee46a912ee2a7c88e21d1e8160497b721731f134",
         (4, SQUARED_DISTANCE):
-            "eac7b860e11bfda4e85e246492d82eb6ad60b7ff11bef8abff5595e099926b20",
+            "4bb8fed8eec7499885ac3b6e398cdff9b64ee5c4c3d17ddffa9ab9b36ef8ad90",
     }
 
     @staticmethod
@@ -1331,16 +1331,36 @@ class TestPinnedLadderBits:
 
 class TestTableBlocks:
     """The exact normalizer and the teaching table read the cached likelihood
-    table ``_TABLE_BLOCK`` candidates at a time: the slicing moves no bit, and
-    neither reader holds a temporary the size of the table."""
+    table ``_TABLE_BLOCK`` candidates at a time, and the gain table builds its
+    rows as many at a time: the slicing moves no bit, and neither reader holds
+    a temporary the size of the table."""
+
+    # sha256 of eig_map(DOMINANT_LEFT) on the packaged grids, whose gain table
+    # builds its 1,176 rows in blocks.  Like the digests it shares with
+    # TestExactNormalizer and TestPinnedLadderBits, taken with numpy 2.4.6
+    # dispatching to AVX-512 (README, "Pinned bits belong to one host").
+    EIG_DIGESTS = {
+        "absolute_distance": "1e7e94e090bd7b333c1841c2241444afcc298de301d3cc448291098b6ade4978",
+        SQUARED_DISTANCE: "f94f1d5afb6b26c2c37e8921a89cadefa47051271879b9cb7d4af27e3541a995",
+    }
+
+    @pytest.fixture
+    def _cold_gain_table(self):
+        inference._gain_table.cache_clear()
+        yield
+        inference._gain_table.cache_clear()
 
     # One candidate per block, 7 (a partial last block on 169 and 2401
     # candidates) and one block for the whole grid.
     @pytest.mark.parametrize("block", [1, 7, 10_000])
-    def test_block_size_moves_no_bit(self, block, monkeypatch):
+    def test_block_size_moves_no_bit(self, block, monkeypatch, _cold_gain_table):
         monkeypatch.setattr(agents, "_TABLE_BLOCK", block)
+        monkeypatch.setattr(inference, "_TABLE_BLOCK", block)
         pinned = TestPinnedLadderBits
+        prior = discretize_belief(DOMINANT_LEFT, TG)
         for form in REWARD_FORMS:
+            got = eig_map(prior, QG, form)
+            assert hashlib.sha256(got.tobytes()).hexdigest() == self.EIG_DIGESTS[form]
             got = TestExactNormalizer()._scores(form)
             assert hashlib.sha256(got.tobytes()).hexdigest() == TestExactNormalizer.DIGESTS[form]
             # The whole-table path, in the pinned test's (prior, target, example) order.

@@ -388,30 +388,30 @@ PINNED_OUTPUTS = {
 belief_estimated.csv e6512ee6a2b4da305f364d86672fe8a30901ada355803e3731b655c642e37a21
 belief_true.csv 11aaa710fe7dad6562180e79638af8bfca74f10f788d8a7c58efa7478b4c1e0d
 eig_estimated.csv 2e8c02217cc5c0716dfdfb0e8e80753bca6bfc7d6f2c11fe996f35b49839a470
-eig_true.csv e9b528a64ea272f64b206c9e5f09c8417499cab98f690dbb46760b5d2bf69493
+eig_true.csv e31515be939f578faf5189bfe0acdc6d606f8a7d63202cb679055150aace8500
 heatmap_estimated.svg 846243cd032efa9b9e7b87ec91e4b15dcce51b376054b7e8af65b5a2fe1e7d41
 heatmap_true.svg baa05ffb917710c40b6d14d5f155014e892e25b396ec86ac9868cc45bf08d138
 queries.csv 51c9be1a4ee5ea9c02ad58097b0800cbcac3f74968e00a814710a6fad6806703
-report.json 33971973edeb7e4adde45223f5cafe588d19cb8c25f846c29f03a541f6564e56
+report.json 24085b7dfe17835547dd5e5812cc725952146d417eaff802d9dc67185dbfc6d8
 """,
     "fig3": """\
 belief_estimated.csv e6512ee6a2b4da305f364d86672fe8a30901ada355803e3731b655c642e37a21
 belief_true.csv 2126c6d829e244d539f5b908586a790818cd247b0a5c10b3b3c74f17402861a1
 eig_estimated.csv 2e8c02217cc5c0716dfdfb0e8e80753bca6bfc7d6f2c11fe996f35b49839a470
-eig_true.csv 79f9d38a3307f52913d4cde6e51893f1b976b5f233a0c6f97c538e748d14e15b
+eig_true.csv 632756303be08f6234288f6d1e692008d8ae03f22739fedb9bd287aff62ec8a1
 heatmap_estimated.svg 846243cd032efa9b9e7b87ec91e4b15dcce51b376054b7e8af65b5a2fe1e7d41
 heatmap_true.svg c6db65e436b6b2d9f02594431b6636d4b261feb7f43c3895b9d03acf17c2968a
 queries.csv 8c18241513c15415f3bfc2746618172d244a380d9e517f658573cae56a557318
-report.json 3450a2849144c4e8772ccb18d89af8822b83acc6d7203d1c423ce78cc12f05c6
+report.json 10d266b94914b6701c6b15aad1c1884990ca0d714b4bdcbf5f2498c6e5b64003
 """,
     "fig4": """\
 belief_inferred.csv e6512ee6a2b4da305f364d86672fe8a30901ada355803e3731b655c642e37a21
 heatmap_teach_adaptive.svg 7a95d635d672464ada6a0ea5809e0afdd29d42e5bc352035aea8073d6a6eb7b5
 heatmap_teach_uniform.svg 0e46c97d77c2a4f06d88f35e90578c44f1ed75b0dfb512411977197204e7f96a
 queries.csv 51c9be1a4ee5ea9c02ad58097b0800cbcac3f74968e00a814710a6fad6806703
-report.json fe7635bf2977e4d5623bb5f7ff851b630b1f283d1c9b756f038fd66389e771e0
+report.json 261e0d2b188baa8a8f8c56f752fc7f70f839900e40e4af46d788878a9bf554c2
 teach_adaptive.csv 28f483ba0a9b4445fa206b3a3624819901fa752a8530cfdd697dec21b1e8ffd1
-teach_uniform.csv d7dd98ca2c25b13af52d0fd478088391b4b48a268d38ff551a96f44083f90e03
+teach_uniform.csv 4765685a98a35edc4081eee16572db402a948c17b39f8e94ae774729263c6d39
 """,
 }
 

@@ -166,40 +166,38 @@ class TestInteractionLoop:
             run_interaction_loop(cfg, 2, 1, 0)
 
     # sha256 of the float64 (round, x1, x2, y, entropy) rows of 40-round traces
-    # on the packaged grids, recorded when the learner's update and the
-    # level-3 teacher computed each round's likelihood row afresh; they now
-    # read it from the cached likelihood table.
+    # on the packaged grids, with the choice model's logistic on numpy's exp.
     TRACE_DIGESTS = {
         (1, "absolute_distance", 0):
-            "bdde2efb2ab02431fa05dd822b72c3852025966e9fa6f1fb53807535c4b25794",
+            "d0a8a216aa4ce2fa30471578633feb1b035a2e8e2b2c3a1c3abee2690c0b4ac5",
         (1, "absolute_distance", 1):
-            "0ecd26cd25867793c96393dd209abea53d9da1262d701c369b200ecccc875b8a",
+            "41919f81894a3447bc4bc183123a8099406f0ad5cda0c38bc1929d4283027238",
         (1, "absolute_distance", 2):
-            "74a0a3a634463ef6f9124e8d20fef9f1aa006127b589e0d981da194ec4290ecc",
+            "13e770802df3320fa1b5a2b8931279f7b3db792aaf2fc4833472b632f1667ece",
         (1, "squared_distance", 0):
-            "f78fb1881cb183144116621d7530f88faa00f185271fdd1c3af7044d84367407",
+            "94e07910a69b5232d97ac4d0a7662d6e8fc20f57e8150496dfeb0ead3d6095b4",
         (1, "squared_distance", 1):
             "2eb551dacd1472aae6943e272a89a8827469dee163098ac1ae13c1459cabab90",
         (1, "squared_distance", 2):
-            "65ac4d6b1582b149f32a378c24098674e30f5cb53ffb261ea7740bff658a2ec5",
+            "7b2bc7c0c99925e32aa67e9f71450ee5f7c58cbc067ee3d96b18a711ff198741",
         (3, "absolute_distance", 0):
-            "72f860e766f048f4aaf32ac366eb1540acc3384f7deb70325a39ed5c59194d4a",
+            "f2f656679443215452a03950f56a2e191d802cf757a223f4f7a855be71c19354",
         (3, "absolute_distance", 1):
-            "bd081d55552d10561df3e3cc5c8d07208945b8d66b1d29eee4639ef9610b6c2f",
+            "6367d8ea885484a61739da0cf81f06e4bf3650e8b9ee23c891c9c6f7740046c9",
         (3, "absolute_distance", 2):
-            "faa5c8619dd60b3d1626091f66517d0106ea7914c7577105cabc68897e33b20e",
+            "0938a7f82014715982cef437c6620a866473088e8458b324be2b024bd0bbaa54",
         (3, "squared_distance", 0):
-            "2645fc9ee53a3fa624a8c99e6cb66f8b5976bb5c6006176f28da9a91f930364c",
+            "97f6ee263355aa88875362608f6251b652b63dae12f4fda079346b6f26919818",
         (3, "squared_distance", 1):
-            "7af8ea8dd6b9408d59dc7a873f9213eeb968bdfc0cfdb0622587b8420f3a97d3",
+            "b43223e11310a35a79c1aed404c3aa3fc0d9b5f73adac5e714dddaf203584800",
         (3, "squared_distance", 2):
-            "a69e10857968658a9da15881b688450752831b594911645aac374e9b193ddc6d",
+            "e1e34d92960145fd89d226a2c73eb99d5ff306c12f24ead14687da90bca7d541",
     }
 
     @pytest.mark.parametrize("teacher, form, seed", sorted(TRACE_DIGESTS))
     def test_full_scale_traces_are_pinned(self, teacher, form, seed):
         """The digests were taken with numpy 2.4.6 dispatching to AVX-512 on
-        glibc 2.36; an AVX2-only dispatch moves 10 of the 12 (README, "Pinned
+        glibc 2.36; an AVX2-only dispatch moves 11 of the 12 (README, "Pinned
         bits belong to one host")."""
         trace = run_interaction_loop(ScenarioConfig(seed=seed, reward_form=form), 2, teacher,
                                      40).trace

