@@ -10,11 +10,10 @@ the literal and the identifiability-seeking asker.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -56,8 +55,9 @@ from .inference import (
 
 # Batch size for vectorized search over candidate mixtures; bounds peak
 # memory at roughly batch * n_grid_points * 8 bytes per temporary in the
-# exact data term and batch * n_queries * 8 bytes in a summed block of whole
-# (mu1, mu2) pairs.  The exact normalizer goes one row at a time and reads the
+# exact data term, batch * n_queries * 8 bytes in a summed block of whole
+# (mu1, mu2) pairs and batch * _TABLE_BLOCK * 8 bytes in a block of the exact
+# screen.  The exact normalizer goes one row at a time and reads the
 # grid's cached ``L`` in ``_TABLE_BLOCK``-candidate slices, so each worker holds
 # a few (_TABLE_BLOCK, K) temporaries and one (C,) gain map, whatever the query
 # grid's size (:func:`_exact_log_normalizers`).
@@ -154,45 +154,50 @@ def l2_select_query(policy: QueryPolicy, rng: np.random.Generator) -> Query:
     return policy.grid.query_at(sample_index(policy.probs, rng))
 
 
-def _summed_objective(axes: Sequence[np.ndarray], lik1: np.ndarray,
-                      points: np.ndarray) -> np.ndarray:
-    """Summed dual-form gain ``sum_q [H_b(m . L_q) - m . H_b(L_q)]`` of one
-    search pass: an (I, J, K, L, M) array over the product grid of the axes
-    ``(mu1, mu2, sigma1, sigma2, p_z)``, in sigma units, whose row-major ravel
-    is the row order of :func:`_search_rows`.  ``lik1`` is (N, K) over the
-    non-diagonal dataset queries (diagonals add zero gain).  Each component
-    density is floored at ``DENSITY_FLOOR`` before it is mixed, and a row with
-    no representable grid mass scores -inf.  A row mixes ``p * phi_a +
-    (1 - p) * phi_b``, so ``S = sum phi``, ``A[q] = phi . L_q`` and
-    ``B[q] = phi . H_b(L_q)`` are taken once per component and weighted by
-    ``p`` or ``1 - p`` once per pass; a row needs only ``Z = p S_a + (1 - p) S_b``
-    and its mixes of ``A`` and ``B`` over ``Z``, broadcast over blocks of whole
-    (mu1, mu2) pairs, ``_SEARCH_CHUNK`` rows or so, and finished in place.
+def _component_terms(points: np.ndarray, mu: np.ndarray, sigma: np.ndarray, lik: np.ndarray,
+                     h_lik: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``S = sum phi``, ``A[q] = phi . L_q`` and ``B[q] = phi . H_b(L_q)`` of
+    each (mu, sigma) mixture component, mu slowest: (U,), (U, Q) and (U, Q)
+    for the (Q, K) answer-1 likelihoods ``lik`` and their entropies ``h_lik``.
+    Each component density is floored at ``DENSITY_FLOOR``."""
+    phi = _normal_density(points[None, :], np.repeat(mu, sigma.size)[:, None],
+                          np.tile(sigma, mu.size)[:, None])
+    phi = np.where(phi < DENSITY_FLOOR, 0.0, phi)
+    return (np.einsum("uk->u", phi), np.einsum("uk,nk->un", phi, lik),
+            np.einsum("uk,nk->un", phi, h_lik))
+
+
+def _mixture_gains(axes: Sequence[np.ndarray], points: np.ndarray, lik: np.ndarray,
+                   h_lik: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """Dual-form gains ``H_b(m . L_q) - m . H_b(L_q)`` of every row of one
+    search pass against the (Q, K) likelihoods ``lik``, as (rows, (R, Q) gains,
+    (R,) empty mask) blocks of whole (mu1, mu2) pairs, about ``_SEARCH_CHUNK``
+    rows each, in the row order of :func:`_search_rows`.  ``axes`` are
+    ``(mu1, mu2, sigma1, sigma2, p_z)`` in sigma units.  A row mixes ``p *
+    phi_a + (1 - p) * phi_b``, so the :func:`_component_terms` of each
+    component are weighted by ``p`` or ``1 - p`` once per pass; a row needs
+    only ``Z = p S_a + (1 - p) S_b`` and its mixes of ``A`` and ``B`` over
+    ``Z``, broadcast over the block and finished in place.  A row with no
+    representable grid mass (``Z = 0``) is marked empty and gets gain 0.
     """
     mu1, mu2, s1, s2, p = axes
-    n = lik1.shape[0]
-    h_lik = _binary_entropy(lik1)
-
-    def terms(mu: np.ndarray, sigma: np.ndarray, shape: tuple) -> tuple[np.ndarray, ...]:
-        # S, A and B per component, on the axes (pair, sigma1, sigma2, p_z, query).
-        phi = _normal_density(points[None, :], np.repeat(mu, sigma.size)[:, None],
-                              np.tile(sigma, mu.size)[:, None])
-        phi = np.where(phi < DENSITY_FLOOR, 0.0, phi)
-        return (np.einsum("uk->u", phi).reshape(shape),
-                np.einsum("uk,nk->un", phi, lik1).reshape(shape + (n,)),
-                np.einsum("uk,nk->un", phi, h_lik).reshape(shape + (n,)))
-
-    s_a, a_a, b_a = terms(mu1, s1, (mu1.size, s1.size, 1, 1))
-    s_b, a_b, b_b = terms(mu2, s2, (mu2.size, 1, s2.size, 1))
+    n = lik.shape[0]
+    s_a, a_a, b_a = _component_terms(points, mu1, s1, lik, h_lik)
+    s_b, a_b, b_b = _component_terms(points, mu2, s2, lik, h_lik)
+    # On the axes (pair, sigma1, sigma2, p_z, query).
+    shape_a, shape_b = (mu1.size, s1.size, 1, 1), (mu2.size, 1, s2.size, 1)
+    s_a, a_a, b_a = s_a.reshape(shape_a), a_a.reshape(shape_a + (n,)), b_a.reshape(shape_a + (n,))
+    s_b, a_b, b_b = s_b.reshape(shape_b), a_b.reshape(shape_b + (n,)), b_b.reshape(shape_b + (n,))
     q = 1.0 - p
     s_a, s_b = p * s_a, q * s_b
     a_a, b_a = p[:, None] * a_a, p[:, None] * b_a
     a_b, b_b = q[:, None] * a_b, q[:, None] * b_b
     n_pairs = mu1.size * mu2.size
-    step = max(1, _SEARCH_CHUNK // (s1.size * s2.size * p.size))
-    out = []
+    per_pair = s1.size * s2.size * p.size
+    step = max(1, _SEARCH_CHUNK // per_pair)
     for start in range(0, n_pairs, step):
-        i, j = np.divmod(np.arange(start, min(start + step, n_pairs)), mu2.size)
+        stop = min(start + step, n_pairs)
+        i, j = np.divmod(np.arange(start, stop), mu2.size)
         norm = s_a[i] + s_b[j]
         empty = norm <= 0.0
         norm[empty] = 1.0
@@ -203,19 +208,33 @@ def _summed_objective(axes: Sequence[np.ndarray], lik1: np.ndarray,
         h /= norm
         gain = _binary_entropy(p1)
         gain -= h
-        total = np.einsum("bn->b", gain.reshape(empty.size, n))
-        total[empty.ravel()] = -np.inf
+        yield slice(start * per_pair, stop * per_pair), gain.reshape(empty.size, n), empty.ravel()
+
+
+def _summed_objective(axes: Sequence[np.ndarray], lik1: np.ndarray,
+                      points: np.ndarray) -> np.ndarray:
+    """Summed dual-form gain ``sum_q [H_b(m . L_q) - m . H_b(L_q)]`` of one
+    search pass: an (I, J, K, L, M) array over the product grid of the axes
+    ``(mu1, mu2, sigma1, sigma2, p_z)``, in sigma units, whose row-major ravel
+    is the row order of :func:`_search_rows`.  ``lik1`` is (N, K) over the
+    non-diagonal dataset queries (diagonals add zero gain).  The gains are
+    :func:`_mixture_gains`' blocks, and a row with no representable grid mass
+    scores -inf.
+    """
+    out = []
+    for _, gain, empty in _mixture_gains(axes, points, lik1, _binary_entropy(lik1)):
+        total = np.einsum("bn->b", gain)
+        total[empty] = -np.inf
         out.append(total)
-    return np.concatenate(out).reshape(mu1.size, mu2.size, s1.size, s2.size, p.size)
+    return np.concatenate(out).reshape([ax.size for ax in axes])
 
 
 def _search_rows(axes: Sequence[np.ndarray]) -> np.ndarray:
-    """The (B, 5) (mu1, s1, mu2, s2, p_z) rows, in sigma units, of the grid
-    over five search axes, enumerated row-major; exact mode scores them."""
+    """The (B, 5) (mu1, s1, mu2, s2, p_z) rows of the grid over the five search
+    axes ``(mu1, mu2, sigma1, sigma2, p_z)``, in sigma units, enumerated
+    row-major; exact mode scores them."""
     mesh = np.meshgrid(*axes, indexing="ij")
-    cand = np.stack([m.ravel() for m in mesh], axis=1)
-    return np.column_stack([cand[:, 0], np.exp(cand[:, 2]),
-                            cand[:, 1], np.exp(cand[:, 3]), cand[:, 4]])
+    return np.column_stack([mesh[c].ravel() for c in (0, 2, 1, 3, 4)])
 
 
 def _coarse_axes(ranges: Sequence[ParamRange]) -> list[np.ndarray]:
@@ -226,7 +245,8 @@ def _coarse_axes(ranges: Sequence[ParamRange]) -> list[np.ndarray]:
 # Exact mode, from here to :func:`_exact_objective`.  Its bits decide the
 # rounding ties pinned by the benchmark reference: a last bit here can swap two
 # tied candidates.  So a change to this block must keep all 12 ``exact``
-# entries of ``perfbench/reference.json``.  The thread pool is imported inside
+# entries of ``perfbench/reference.json``.  The screen after it only chooses
+# the rows this block scores.  The thread pool is imported inside
 # :func:`_exact_log_normalizers`, so that only exact attribution loads
 # ``concurrent.futures``.
 def _mixture_mass_batch(params: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -351,22 +371,6 @@ def _exact_log_normalizers(params: np.ndarray, grid: ThetaGrid, qg: QueryGrid, f
     return out
 
 
-@functools.lru_cache(maxsize=8)
-def _coarse_log_normalizers(ranges: tuple[ParamRange, ...], grid: ThetaGrid, qg: QueryGrid,
-                            form: str, beta_a: float) -> np.ndarray:
-    """Read-only :func:`_exact_log_normalizers` of every row of a coarse search grid.
-
-    ``ranges`` are the (mu1, mu2, sigma1, sigma2, p_z) search ranges; rows
-    follow :func:`mle_belief`'s coarse pass.  A normalizer depends on the
-    candidate belief, the grids, the reward form and ``beta_a``, never on the
-    observed queries, so every dataset searched on one coarse grid shares
-    this array.  Built lazily, once per key.
-    """
-    log_z = _exact_log_normalizers(_search_rows(_coarse_axes(ranges)), grid, qg, form, beta_a)
-    log_z.flags.writeable = False
-    return log_z
-
-
 def _exact_objective(params: np.ndarray, lik1: np.ndarray, points: np.ndarray,
                      beta_a: float, log_z: np.ndarray, n_queries: int) -> np.ndarray:
     """Exact-mode score of each (mu1, s1, mu2, s2, p_z) row: the normalized
@@ -392,6 +396,103 @@ def _exact_objective(params: np.ndarray, lik1: np.ndarray, points: np.ndarray,
         total[mass.sum(axis=1) <= 0.0] = -np.inf
         out[rows] = total
     return out
+
+
+def _screen_log_normalizers(axes: Sequence[np.ndarray], grid: ThetaGrid, qg: QueryGrid,
+                            form: str, beta_a: float) -> np.ndarray:
+    """(B,) screen normalizers ``log sum_c exp(beta_a * EIG_c)`` of every row
+    of one search pass, in the row order of :func:`_search_rows`.
+
+    The gains are :func:`_mixture_gains` of the rows against the cached
+    (C, K) likelihood table (:func:`inference._likelihood_table`), read
+    ``_TABLE_BLOCK`` candidates at a time, so they floor each component's
+    density where :func:`_exact_log_normalizers` floors the mixture, and they
+    round differently.  Each row's sum is an online log-sum-exp: a running
+    maximum and a running sum rescaled to it, one candidate block at a time,
+    so no (rows, C) array is held.
+    """
+    lik = _likelihood_table(grid, qg, form)
+    n_rows = math.prod(ax.size for ax in axes)
+    top = np.full(n_rows, -np.inf)
+    acc = np.zeros(n_rows)
+    empty = np.zeros(n_rows, dtype=bool)
+    for start in range(0, lik.shape[0], _TABLE_BLOCK):
+        block = lik[start:start + _TABLE_BLOCK]
+        for rows, gain, no_mass in _mixture_gains(axes, grid.points, block,
+                                                  _binary_entropy(block)):
+            empty[rows] = no_mass
+            z = beta_a * gain
+            new_top = np.maximum(top[rows], np.max(z, axis=1))
+            acc[rows] *= np.exp(top[rows] - new_top)
+            z -= new_top[:, None]
+            acc[rows] += np.einsum("bc->b", np.exp(z))
+            top[rows] = new_top
+    log_z = top + np.log(acc)
+    # A row without representable component mass has no normalizer, so its
+    # screen score is not finite: the exact kernel decides it if its mixture
+    # has mass after all.
+    log_z[empty] = np.inf
+    return log_z
+
+
+# A screen score lies within this share of its two terms of the exact score,
+# with room to spare: the two differ by about 1e-14 of the terms.  The window
+# scales with the terms, not the score, because at a large beta_a they nearly
+# cancel: at 1e8 a score of about 1 a query is off by about 1e-6.
+_SCREEN_RTOL = 1e-9
+
+
+def _exact_pass(axes: Sequence[np.ndarray], lik1: np.ndarray, grid: ThetaGrid, qg: QueryGrid,
+                form: str, beta_a: float, n_queries: int) -> np.ndarray:
+    """:func:`_exact_objective` of the rows of one search pass that could be
+    its best, and -inf for the rest, so that the argmax, its value and the tie
+    order are those of the whole pass under :func:`_exact_objective`.
+    ``axes`` are the pass's ``(mu1, mu2, sigma1, sigma2, p_z)`` in sigma units.
+
+    Every row is screened first: its data term is :func:`_exact_objective`'s
+    and its normalizer :func:`_screen_log_normalizers`'.  Per query, the
+    screen score ``beta_a * data / n_queries - log Z`` lies within a window of
+    ``_SCREEN_RTOL * (beta_a * |data| / n_queries + |log Z|)`` of the row's
+    exact score per query.  The exact kernel, :func:`_exact_log_normalizers`
+    and :func:`_exact_objective`, decides every row whose window meets the best
+    row's, and every row whose screen score is not finite; usually a row or
+    two a pass.  A row with no representable mixture mass scores -inf in both
+    kernels and is never decided.  At ``beta_a = 0`` every row ties, so every
+    row is decided, at the cost of the whole pass.  If every decided row scores
+    -inf, every other row is scored too.
+    """
+    points = grid.points
+    params = _search_rows(axes)
+    data = np.empty(params.shape[0])
+    empty = np.empty(params.shape[0], dtype=bool)
+    for start in range(0, params.shape[0], _SEARCH_CHUNK):
+        rows = slice(start, start + _SEARCH_CHUNK)
+        mass = _mixture_mass_batch(params[rows], points)
+        data[rows] = _summed_eig_batch(mass, lik1)
+        empty[rows] = mass.sum(axis=1) <= 0.0
+    log_z = _screen_log_normalizers(axes, grid, qg, form, beta_a)
+    with np.errstate(invalid="ignore"):
+        per_query = beta_a * (data / n_queries)
+        score = per_query - log_z
+        slack = _SCREEN_RTOL * (np.abs(per_query) + np.abs(log_z))
+        live = ~empty
+        finite = live & np.isfinite(score)
+        decided = live & ~finite
+        if np.any(finite):
+            best = np.argmax(np.where(finite, score, -np.inf))
+            decided |= finite & (score + slack >= score[best] - slack[best])
+    values = np.full(params.shape[0], -np.inf)
+
+    def decide(rows: np.ndarray) -> None:
+        if rows.size:
+            values[rows] = _exact_objective(
+                params[rows], lik1, points, beta_a,
+                _exact_log_normalizers(params[rows], grid, qg, form, beta_a), n_queries)
+
+    decide(np.flatnonzero(decided))
+    if not np.any(values > -np.inf):
+        decide(np.flatnonzero(live & ~decided))
+    return values
 
 
 def _dataset_likelihoods(queries: Sequence[Query], points: np.ndarray,
@@ -444,14 +545,9 @@ def mle_belief(queries: Sequence[Query], cfg: MleSearchConfig, qg: QueryGrid,
     naming the ranges.
 
     A pass scores its axes, sigmas as ``np.exp`` of their log axes, with
-    :func:`_summed_objective`, or the rows of :func:`_search_rows` with
-    :func:`_exact_objective`.  The search returns the scored coordinates of
-    the best row and centres the next windows on its log-axis coordinates.
-    In exact mode the coarse pass takes its normalizers from
-    :func:`_coarse_log_normalizers`, computed once per process for each
-    coarse grid, theta grid, query grid, reward form and ``beta_a``; each
-    refinement pass, whose window follows the data, computes its own with
-    :func:`_exact_log_normalizers`.
+    :func:`_summed_objective`, or with :func:`_exact_pass`, which gives the
+    argmax and best value of :func:`_exact_objective` on every row.  The search returns the scored coordinates of the best row
+    and centres the next windows on its log-axis coordinates.
     """
     if len(queries) == 0:
         raise InvalidInputError("query dataset must be nonempty")
@@ -469,17 +565,12 @@ def mle_belief(queries: Sequence[Query], cfg: MleSearchConfig, qg: QueryGrid,
 
     best_params: list[float] | None = None
     best_value = -np.inf
-    for n_pass in range(1 + cfg.n_refine_iters):
+    for _ in range(1 + cfg.n_refine_iters):
         scored = [np.exp(ax) if log else ax for ax, log in zip(axes, _LOG_SCALED)]
         if not exact:
             values = _summed_objective(scored, lik1, points)
         else:
-            params = _search_rows(axes)
-            # Refinement windows follow the data, so only the coarse pass's
-            # normalizers are cached.
-            log_z = (_coarse_log_normalizers(ranges, grid, qg, form, float(beta_a))
-                     if n_pass == 0 else _exact_log_normalizers(params, grid, qg, form, beta_a))
-            values = _exact_objective(params, lik1, points, beta_a, log_z, len(queries))
+            values = _exact_pass(scored, lik1, grid, qg, form, beta_a, len(queries))
         i = int(np.argmax(values))
         if best_params is None or values.flat[i] > best_value:
             best_value = float(values.flat[i])

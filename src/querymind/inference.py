@@ -255,12 +255,15 @@ def eig_map(b: GridBelief, qg: QueryGrid, form: str = ABSOLUTE_DISTANCE) -> np.n
 
     Dual form ``H_b(L . m) - m . H_b(L)``: no posterior is normalized, so a
     point-mass belief gives a finite (zero) map.  Swapped pairs get identical
-    values and diagonal pairs exactly 0.
+    values and diagonal pairs exactly 0.  No gain is -0.0.
     """
     _require_form(form)
     upper, lower, lik, h_lik = _gain_table(b.grid, qg, form)
     gain = (_binary_entropy(np.einsum("ck,k->c", lik, b.mass))
             - np.einsum("ck,k->c", h_lik, b.mass))
+    # A pair whose likelihoods are all 0 or 1 gains -(0 + 0) - 0 = -0.0;
+    # adding 0.0 makes that +0.0 and keeps every other bit.
+    gain += 0.0
     out = np.zeros(qg.n_candidates)
     out[upper] = gain
     out[lower] = gain

@@ -333,8 +333,6 @@ class TestMleBelief:
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, -1.0])
     @pytest.mark.parametrize("exact", [False, True])
     def test_invalid_rationality_rejected(self, beta, exact):
-        # Checked before the search starts, so it never becomes a cache key.
-        agents._coarse_log_normalizers.cache_clear()
         queries = [Query(x1, x2) for x1, x2 in self.ABS_QUERIES]
         error = "beta must be finite|rationality must be nonnegative"
         with pytest.raises(InvalidInputError, match=error):
@@ -343,7 +341,6 @@ class TestMleBelief:
         with pytest.raises(InvalidInputError, match=error):
             mle_belief(queries, self.PIN_CFG, self.PIN_QG, self.PIN_TG,
                        exact=exact, beta_a=beta)
-        assert agents._coarse_log_normalizers.cache_info().currsize == 0
 
     def test_p_z_range_outside_unit_interval_rejected(self):
         with pytest.raises(InvalidInputError, match="p_z range"):
@@ -809,68 +806,72 @@ class TestExactNormalizer:
             assert done.stdout == want
 
 
-class TestCoarseNormalizerCache:
-    """Exact mode computes the coarse pass's normalizers once per coarse grid,
-    theta grid, query grid, reward form and rationality."""
+class TestScreenedExactSearch:
+    """Exact mode screens every row of a pass and scores only the rows that
+    could be its best with the exact kernel; the search must take the whole
+    pass's argmax, best value and tie order under that kernel."""
 
     TG = ThetaGrid(-6.0, 6.0, 41)
     QG = QueryGrid(-6.0, 6.0, 7)
-    CFG = MleSearchConfig(mu1=ParamRange(-6.0, 0.0, 3), mu2=ParamRange(0.0, 6.0, 2),
+    CFG = MleSearchConfig(mu1=ParamRange(-6.0, 0.0, 3), mu2=ParamRange(0.0, 6.0, 3),
                           sigma1=ParamRange(0.3, 1.2, 2), sigma2=ParamRange(0.3, 1.2, 2),
-                          p_z=ParamRange(0.1, 0.9, 2), n_refine_iters=2)
-    ROWS_PER_PASS = 3 * 2 * 2 * 2 * 2
+                          p_z=ParamRange(0.1, 0.9, 3), n_refine_iters=1)
+    ROWS_PER_PASS = 3 * 3 * 2 * 2 * 3
     DATA_A = [Query(-4.0, 2.0), Query(2.0, -4.0), Query(-6.0, 6.0), Query(0.0, 0.0)]
     DATA_B = [Query(0.0, 4.0), Query(-2.0, 6.0), Query(4.0, -6.0)]
+    # At beta_a = 1e4 the exact top two coarse rows are about 1e-12 apart, and
+    # the screen alone ranks them the other way round.
+    NEAR_TIES = {
+        "absolute_distance": [Query(2.0, -4.0), Query(-4.0, 6.0), Query(-2.0, 4.0),
+                              Query(2.0, -2.0)],
+        SQUARED_DISTANCE: [Query(6.0, -6.0), Query(2.0, -2.0)],
+    }
 
-    @pytest.fixture(autouse=True)
-    def _cold_cache(self):
-        agents._coarse_log_normalizers.cache_clear()
-        yield
-        agents._coarse_log_normalizers.cache_clear()
+    @staticmethod
+    def _full_pass(axes, lik1, grid, qg, form, beta_a, n_queries):
+        """The exact kernel on every row of the pass."""
+        params = agents._search_rows(axes)
+        return _exact_objective(params, lik1, grid.points, beta_a,
+                                _exact_log_normalizers(params, grid, qg, form, beta_a),
+                                n_queries)
 
-    def _search(self, queries, form="absolute_distance", beta=50.0, tg=None, qg=None,
-                cfg=None):
-        return mle_belief(queries, cfg or self.CFG, qg or self.QG, tg or self.TG, form,
-                          True, beta)
-
-    def _recorded_search(self, queries, form, monkeypatch):
-        """The estimate and the bytes of every pass's objective values."""
+    def _search(self, monkeypatch, queries, form, beta, score=None):
+        """The estimate, or the message of the error the search raised, and
+        every pass's objective values, scored by ``score`` (the screen by
+        default)."""
         passes = []
-        real = agents._exact_objective
+        score = score or agents._exact_pass
 
-        def record(*args, **kwargs):
-            out = real(*args, **kwargs)
-            passes.append(out.tobytes())
-            return out
+        def record(*args):
+            passes.append(score(*args))
+            return passes[-1]
 
         with monkeypatch.context() as m:
-            m.setattr(agents, "_exact_objective", record)
-            est = self._search(queries, form)
-        return est.astuple(), passes
+            m.setattr(agents, "_exact_pass", record)
+            try:
+                est = mle_belief(queries, self.CFG, self.QG, self.TG, form, True, beta).astuple()
+            except DegenerateBeliefError as err:
+                est = str(err)
+        return est, passes
 
-    def _info(self):
-        info = agents._coarse_log_normalizers.cache_info()
-        return info.hits, info.misses
+    def _assert_full_pass_argmax(self, monkeypatch, queries, form, beta):
+        """The screened search takes the whole pass's argmax and best value
+        in every pass, and each row it scores has the exact kernel's bits."""
+        est, passes = self._search(monkeypatch, queries, form, beta)
+        want, full = self._search(monkeypatch, queries, form, beta, self._full_pass)
+        assert est == want
+        assert len(passes) == len(full) == 1 + self.CFG.n_refine_iters
+        for got, whole in zip(passes, full):
+            assert np.argmax(got) == np.argmax(whole)
+            assert got.max().tobytes() == whole.max().tobytes()
+            scored = got > -np.inf
+            assert got[scored].tobytes() == whole[scored].tobytes()
+        return passes
 
-    @pytest.mark.parametrize("form", REWARD_FORMS)
-    def test_warm_search_gives_the_cold_bits(self, form, monkeypatch):
-        cold = self._recorded_search(self.DATA_B, form, monkeypatch)
-        agents._coarse_log_normalizers.cache_clear()
-        self._search(self.DATA_A, form)
-        warm = self._recorded_search(self.DATA_B, form, monkeypatch)
-        assert self._info() == (1, 1)
-        assert warm == cold
-        # Both equal the uncached coarse pass, normalizers and all.
-        points = self.TG.points
-        ranges = (self.CFG.mu1, self.CFG.mu2, self.CFG.sigma1, self.CFG.sigma2, self.CFG.p_z)
-        params = agents._search_rows(agents._coarse_axes(ranges))
-        want = _exact_objective(params, _dataset_likelihoods(self.DATA_B, points, form),
-                                points, 50.0,
-                                _exact_log_normalizers(params, self.TG, self.QG, form, 50.0),
-                                len(self.DATA_B))
-        assert cold[1][0] == want.tobytes()
-
-    def test_second_dataset_normalizes_only_refinement_rows(self, monkeypatch):
+    @staticmethod
+    def _count_decided(monkeypatch):
+        """A list that gets the number of rows of each later call of the
+        exact normalizer."""
         rows = []
         real = agents._exact_log_normalizers
 
@@ -879,42 +880,109 @@ class TestCoarseNormalizerCache:
             return real(params, *args)
 
         monkeypatch.setattr(agents, "_exact_log_normalizers", count)
-        self._search(self.DATA_A)
-        assert sum(rows) == self.ROWS_PER_PASS * (1 + self.CFG.n_refine_iters)
-        rows.clear()
-        self._search(self.DATA_B)
-        assert sum(rows) == self.ROWS_PER_PASS * self.CFG.n_refine_iters
+        return rows
 
-    @pytest.mark.parametrize("change", [
-        {"form": SQUARED_DISTANCE},
-        {"beta": 20.0},
-        {"tg": ThetaGrid(-6.0, 6.0, 43)},
-        {"qg": QueryGrid(-6.0, 6.0, 5)},
-        {"cfg": replace(CFG, mu1=ParamRange(-5.0, 0.0, 3))},
-        {"cfg": replace(CFG, mu2=ParamRange(0.0, 6.0, 3))},
-        {"cfg": replace(CFG, sigma1=ParamRange(0.4, 1.2, 2))},
-        {"cfg": replace(CFG, sigma2=ParamRange(0.3, 1.5, 2))},
-        {"cfg": replace(CFG, p_z=ParamRange(0.2, 0.9, 2))},
-    ], ids=["form", "beta", "theta-grid", "query-grid", "mu1", "mu2", "sigma1", "sigma2",
-            "p_z"])
-    def test_key_change_misses(self, change):
-        self._search(self.DATA_A)
-        self._search(self.DATA_A, **change)
-        assert self._info() == (0, 2)
+    @pytest.mark.parametrize("form", REWARD_FORMS)
+    def test_two_searches_give_the_same_bits(self, form, monkeypatch):
+        def run(queries):
+            est, passes = self._search(monkeypatch, queries, form, 50.0)
+            return est, [p.tobytes() for p in passes]
 
-    @pytest.mark.parametrize("change", [{"n_refine_iters": 0}, {"n_refine_iters": 1}])
-    def test_refinement_settings_hit(self, change):
-        self._search(self.DATA_A)
-        self._search(self.DATA_B, cfg=replace(self.CFG, **change))
-        assert self._info() == (1, 1)
+        first = run(self.DATA_B)
+        run(self.DATA_A)
+        assert run(self.DATA_B) == first
 
-    def test_cached_array_is_read_only(self):
-        ranges = (self.CFG.mu1, self.CFG.mu2, self.CFG.sigma1, self.CFG.sigma2, self.CFG.p_z)
-        log_z = agents._coarse_log_normalizers(ranges, self.TG, self.QG,
-                                               "absolute_distance", 50.0)
-        assert log_z.shape == (self.ROWS_PER_PASS,)
-        with pytest.raises(ValueError, match="read-only"):
-            log_z[0] = 0.0
+    @pytest.mark.parametrize("form", REWARD_FORMS)
+    def test_typical_search_matches_the_whole_pass(self, form, monkeypatch):
+        for queries in (self.DATA_A, self.DATA_B):
+            self._assert_full_pass_argmax(monkeypatch, queries, form, 50.0)
+        rows = self._count_decided(monkeypatch)
+        self._search(monkeypatch, self.DATA_B, form, 50.0)
+        assert max(rows) <= 3
+
+    @pytest.mark.parametrize("form, beta, pairs", [
+        ("absolute_distance", 1e4, None),
+        (SQUARED_DISTANCE, 1e4, None),
+        # The score's terms are about 1e8 and the best score per query about
+        # 1, so a window sized from the score alone misses the best row.
+        ("absolute_distance", 1e8, [(-6.0, 0.0)]),
+        (SQUARED_DISTANCE, 1e8, [(-6.0, 4.0)]),
+    ], ids=["absolute-1e4", "squared-1e4", "absolute-1e8", "squared-1e8"])
+    def test_near_ties_at_high_rationality(self, form, beta, pairs, monkeypatch):
+        # The window is sized from the score's two terms, which nearly cancel
+        # here; with no window the screen's own argmax would win the pass.
+        queries = self.NEAR_TIES[form] if pairs is None else [Query(*q) for q in pairs]
+        passes = self._assert_full_pass_argmax(monkeypatch, queries, form, beta)
+        monkeypatch.setattr(agents, "_SCREEN_RTOL", 0.0)
+        _, narrow = self._search(monkeypatch, queries, form, beta)
+        assert np.argmax(narrow[0]) != np.argmax(passes[0])
+        assert narrow[0].max() < passes[0].max()
+
+    @pytest.mark.parametrize("form", REWARD_FORMS)
+    def test_zero_rationality_decides_every_row(self, form, monkeypatch):
+        # Every row's score is its normalizer, log C, so every row ties.
+        self._assert_full_pass_argmax(monkeypatch, self.DATA_A, form, 0.0)
+        rows = self._count_decided(monkeypatch)
+        self._search(monkeypatch, self.DATA_A, form, 0.0)
+        assert rows == [self.ROWS_PER_PASS] * (1 + self.CFG.n_refine_iters)
+
+    @pytest.mark.parametrize("form", REWARD_FORMS)
+    def test_huge_rationality_matches_the_whole_pass(self, form, monkeypatch):
+        for queries in (self.DATA_A, self.NEAR_TIES[form]):
+            self._assert_full_pass_argmax(monkeypatch, queries, form, 1e308)
+
+    @pytest.mark.parametrize("form", REWARD_FORMS)
+    def test_non_finite_screen_scores_are_decided(self, form, monkeypatch):
+        real = agents._screen_log_normalizers
+        broken = [0, 7, 100]
+
+        def screen(*args):
+            log_z = real(*args)
+            log_z[broken] = [np.nan, np.inf, -np.inf]
+            return log_z
+
+        monkeypatch.setattr(agents, "_screen_log_normalizers", screen)
+        passes = self._assert_full_pass_argmax(monkeypatch, self.DATA_A, form, 50.0)
+        assert all(np.all(p[broken] > -np.inf) for p in passes)
+
+    def test_decided_rows_all_minus_inf_fall_back_to_every_row(self, monkeypatch):
+        # At beta_a = 1e308, n_queries times a row's score per query overflows
+        # to -inf in the exact kernel on every coarse row of this dataset, the
+        # screen's best included.
+        queries = [Query(x1, x2) for x1, x2 in (
+            (-4.0, -6.0), (2.0, -6.0), (4.0, 4.0), (2.0, 4.0), (6.0, 2.0), (-6.0, -6.0),
+            (-6.0, -6.0), (6.0, 0.0), (2.0, 2.0), (0.0, 2.0), (4.0, 6.0), (2.0, 2.0),
+            (0.0, 0.0), (0.0, -6.0), (-6.0, 2.0), (-4.0, 4.0), (0.0, -2.0))]
+        self._assert_full_pass_argmax(monkeypatch, queries, SQUARED_DISTANCE, 1e308)
+        rows = self._count_decided(monkeypatch)
+        self._search(monkeypatch, queries, SQUARED_DISTANCE, 1e308)
+        assert len(rows) > 2 and sum(rows[:2]) == self.ROWS_PER_PASS
+
+    def test_rows_without_mass_are_never_decided(self, monkeypatch):
+        cfg = replace(self.CFG, mu1=ParamRange(-300.0, -200.0, 3),
+                      mu2=ParamRange(200.0, 300.0, 3))
+        monkeypatch.setattr(self, "CFG", cfg)
+        rows = self._count_decided(monkeypatch)
+        self._search(monkeypatch, self.DATA_A, "absolute_distance", 50.0)
+        assert rows == []
+
+    def test_packaged_search_decides_a_row_or_two_a_pass(self, monkeypatch):
+        cfg = bimodal_config(0)
+        queries = sample_queries(cfg, discretize_belief(cfg.prior, cfg.theta_grid))
+        search = MleSearchConfig(*(ParamRange(r.lo, r.hi, 2) for r in (
+            cfg.mle.mu1, cfg.mle.mu2, cfg.mle.sigma1, cfg.mle.sigma2, cfg.mle.p_z)), 1)
+        rows = self._count_decided(monkeypatch)
+        mle_belief(queries, search, cfg.query_grid, cfg.theta_grid, cfg.reward_form, True,
+                   cfg.beta_a)
+        assert len(rows) == 2 and max(rows) <= 2
+
+    def test_packaged_fig3_seed_0_estimate_is_pinned(self):
+        # The packaged grids and search: 4 passes of 24,336 rows, about 7 s.
+        cfg = bimodal_config(0)
+        queries = sample_queries(cfg, discretize_belief(cfg.prior, cfg.theta_grid))
+        est = mle_belief(queries, cfg.mle, cfg.query_grid, cfg.theta_grid, cfg.reward_form,
+                         True, cfg.beta_a)
+        assert est.astuple() == (-2.125, 0.6153442274747914, 2.625, 0.25, 0.22500000000000003)
 
 
 class TestTomPosterior:

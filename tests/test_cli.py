@@ -6,7 +6,6 @@ import pytest
 from querymind.cli import INTENT_FIXTURE, main
 from querymind.model import Query, ThetaGrid
 from querymind.inference import QueryGrid
-from querymind import agents
 from querymind.agents import BeliefEnsemble, bayes_factor
 from querymind.reporting import fmt_real
 
@@ -112,6 +111,19 @@ class TestExitCodes:
         assert capsys.readouterr() == (
             "", f"error: {error} hi - lo overflows, got [-1e+308, 1e+308]\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("form", ["absolute_distance", "squared_distance"])
+    def test_eig_map_writes_no_negative_zero(self, form, tmp_path, capsys):
+        # On a 7-point query grid from -1e10, 42 pairs have likelihood rows of
+        # only 0s and 1s; their gain, -(0 + 0) - 0, printed as "-0".
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(f"grid.query_points = 7\ngrid.query_lo = -1e10\n"
+                       f"agent.reward_form = {form}\n")
+        out = tmp_path / "out"
+        assert main(["eig-map", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "max gain 0 at candidate 0 of 49\n"
+        rows = (out / "eig_true.csv").read_text().splitlines()[1:]
+        assert [row.rsplit(",", 1)[1] for row in rows] == ["0"] * 49
 
     @pytest.mark.parametrize("line, error", [
         ("mle.sigma1_lo = 3", "mle.sigma1_lo, mle.sigma1_hi: range lo 3.0 > hi 2.0"),
@@ -257,8 +269,8 @@ class TestEstimateAndIntent:
         assert 0.0 <= p_z <= 1.0
 
     def test_estimate_belief_sweeps_files_in_order(self, tmp_path, fast_config, capsys):
-        # One process searches every file on one grid, so in exact mode the
-        # files after the first reuse the coarse normalizers, bit for bit.
+        # One process searches every file, in order; in exact mode each file
+        # prints what it prints alone.
         a = tmp_path / "a.csv"
         a.write_text("x1,x2\n-5.5,6\n-4,2\n")
         b = tmp_path / "b.csv"
@@ -266,15 +278,10 @@ class TestEstimateAndIntent:
         args = ["estimate-belief", "--exact-likelihood", "--config", fast_config, "--queries"]
         alone = {}
         for path in (b, a):
-            agents._coarse_log_normalizers.cache_clear()
             assert main(args + [str(path)]) == 0
             alone[path] = capsys.readouterr().out
-        agents._coarse_log_normalizers.cache_clear()
         assert main(args + [str(a), str(b)]) == 0
         assert capsys.readouterr().out == alone[a] + alone[b]
-        info = agents._coarse_log_normalizers.cache_info()
-        agents._coarse_log_normalizers.cache_clear()
-        assert (info.hits, info.misses) == (1, 1)
 
     def test_estimate_belief_reads_every_file_before_searching(self, tmp_path, fast_config,
                                                                capsys):
