@@ -57,7 +57,8 @@ from .inference import (
 # memory at roughly batch * n_grid_points * 8 bytes per temporary in the
 # exact data term, batch * n_queries * 8 bytes in a summed block of whole
 # (mu1, mu2) pairs and batch * _TABLE_BLOCK * 8 bytes in a block of the exact
-# screen.  The exact normalizer goes one row at a time and reads the
+# screen, which gathers the likelihood rows of its block's pairs into one
+# reused (_TABLE_BLOCK, K) buffer.  The exact normalizer goes one row at a time and reads the
 # grid's cached ``L`` in ``_TABLE_BLOCK``-candidate slices, so each worker holds
 # a few (_TABLE_BLOCK, K) temporaries and one (C,) gain map, whatever the query
 # grid's size (:func:`_exact_log_normalizers`).
@@ -371,6 +372,21 @@ def _exact_log_normalizers(params: np.ndarray, grid: ThetaGrid, qg: QueryGrid, f
     return out
 
 
+def _exact_score(data: np.ndarray, empty: np.ndarray, beta_a: float, log_z: np.ndarray,
+                 n_queries: int) -> np.ndarray:
+    """Exact-mode (B,) scores ``beta_a * data - n_queries * log_z`` of rows with
+    data terms ``data`` (:func:`_summed_eig_batch`) and normalizers ``log_z``;
+    a row marked ``empty`` (no representable grid mass) scores -inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = beta_a * data - n_queries * log_z
+        # At a huge beta_a both terms can overflow; such rows take an order
+        # of the same sum whose terms stay within about beta_a * ln 2.
+        big = ~np.isfinite(total)
+        total[big] = n_queries * (beta_a * (data[big] / n_queries) - log_z[big])
+    total[empty] = -np.inf
+    return total
+
+
 def _exact_objective(params: np.ndarray, lik1: np.ndarray, points: np.ndarray,
                      beta_a: float, log_z: np.ndarray, n_queries: int) -> np.ndarray:
     """Exact-mode score of each (mu1, s1, mu2, s2, p_z) row: the normalized
@@ -378,23 +394,16 @@ def _exact_objective(params: np.ndarray, lik1: np.ndarray, points: np.ndarray,
 
     That is the data term ``beta_a * sum_i EIG(q_i)`` on the mixture mass,
     floored as a whole, minus ``n_queries`` times the rows' (B,) normalizers
-    ``log_z`` (:func:`_exact_log_normalizers`).  ``lik1`` is (N, K) over the
-    non-diagonal dataset queries (diagonals add zero gain).  A row with no
-    representable grid mass scores -inf.
+    ``log_z`` (:func:`_exact_log_normalizers`), by :func:`_exact_score`.
+    ``lik1`` is (N, K) over the non-diagonal dataset queries (diagonals add
+    zero gain).  A row with no representable grid mass scores -inf.
     """
     out = np.empty(params.shape[0])
     for start in range(0, params.shape[0], _SEARCH_CHUNK):
         rows = slice(start, start + _SEARCH_CHUNK)
         mass = _mixture_mass_batch(params[rows], points)
-        gain = _summed_eig_batch(mass, lik1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = beta_a * gain - n_queries * log_z[rows]
-            # At a huge beta_a both terms can overflow; such rows take an order
-            # of the same sum whose terms stay within about beta_a * ln 2.
-            big = ~np.isfinite(total)
-            total[big] = n_queries * (beta_a * (gain[big] / n_queries) - log_z[rows][big])
-        total[mass.sum(axis=1) <= 0.0] = -np.inf
-        out[rows] = total
+        out[rows] = _exact_score(_summed_eig_batch(mass, lik1), mass.sum(axis=1) <= 0.0,
+                                 beta_a, log_z[rows], n_queries)
     return out
 
 
@@ -403,21 +412,31 @@ def _screen_log_normalizers(axes: Sequence[np.ndarray], grid: ThetaGrid, qg: Que
     """(B,) screen normalizers ``log sum_c exp(beta_a * EIG_c)`` of every row
     of one search pass, in the row order of :func:`_search_rows`.
 
-    The gains are :func:`_mixture_gains` of the rows against the cached
-    (C, K) likelihood table (:func:`inference._likelihood_table`), read
-    ``_TABLE_BLOCK`` candidates at a time, so they floor each component's
-    density where :func:`_exact_log_normalizers` floors the mixture, and they
-    round differently.  Each row's sum is an online log-sum-exp: a running
-    maximum and a running sum rescaled to it, one candidate block at a time,
-    so no (rows, C) array is held.
+    The gains are :func:`_mixture_gains` of the rows, so they floor each
+    component's density where :func:`_exact_log_normalizers` floors the
+    mixture, and they round differently.  They are taken against the pairs
+    with ``x1 < x2`` of the cached (C, K) likelihood table
+    (:func:`inference._likelihood_table`), gathered ``_TABLE_BLOCK`` pairs at
+    a time into one reused (``_TABLE_BLOCK``, K) buffer.  Each pair counts
+    twice, for itself and its swap, whose dual-form gain is the same up to
+    rounding (:func:`inference.eig_map`), and each of the n diagonal
+    candidates counts as gain 0.  Each row's sum is an online log-sum-exp: a
+    running maximum and a running sum rescaled to it, one pair block at a
+    time, so no (rows, C) array is held.
     """
     lik = _likelihood_table(grid, qg, form)
+    n = qg.n_per_axis
+    i, j = np.triu_indices(n, k=1)
+    upper = i * n + j
     n_rows = math.prod(ax.size for ax in axes)
-    top = np.full(n_rows, -np.inf)
-    acc = np.zeros(n_rows)
+    # The diagonals: n gains of 0, each exp(0 - 0) = 1.
+    top = np.zeros(n_rows)
+    acc = np.full(n_rows, float(n))
     empty = np.zeros(n_rows, dtype=bool)
-    for start in range(0, lik.shape[0], _TABLE_BLOCK):
-        block = lik[start:start + _TABLE_BLOCK]
+    buf = np.empty((min(_TABLE_BLOCK, upper.size), lik.shape[1]))
+    for start in range(0, upper.size, _TABLE_BLOCK):
+        pairs = upper[start:start + _TABLE_BLOCK]
+        block = np.take(lik, pairs, axis=0, out=buf[:pairs.size])
         for rows, gain, no_mass in _mixture_gains(axes, grid.points, block,
                                                   _binary_entropy(block)):
             empty[rows] = no_mass
@@ -425,7 +444,7 @@ def _screen_log_normalizers(axes: Sequence[np.ndarray], grid: ThetaGrid, qg: Que
             new_top = np.maximum(top[rows], np.max(z, axis=1))
             acc[rows] *= np.exp(top[rows] - new_top)
             z -= new_top[:, None]
-            acc[rows] += np.einsum("bc->b", np.exp(z))
+            acc[rows] += 2.0 * np.einsum("bc->b", np.exp(z))
             top[rows] = new_top
     log_z = top + np.log(acc)
     # A row without representable component mass has no normalizer, so its
@@ -453,13 +472,15 @@ def _exact_pass(axes: Sequence[np.ndarray], lik1: np.ndarray, grid: ThetaGrid, q
     and its normalizer :func:`_screen_log_normalizers`'.  Per query, the
     screen score ``beta_a * data / n_queries - log Z`` lies within a window of
     ``_SCREEN_RTOL * (beta_a * |data| / n_queries + |log Z|)`` of the row's
-    exact score per query.  The exact kernel, :func:`_exact_log_normalizers`
-    and :func:`_exact_objective`, decides every row whose window meets the best
-    row's, and every row whose screen score is not finite; usually a row or
-    two a pass.  A row with no representable mixture mass scores -inf in both
-    kernels and is never decided.  At ``beta_a = 0`` every row ties, so every
-    row is decided, at the cost of the whole pass.  If every decided row scores
-    -inf, every other row is scored too.
+    exact score per query.  The exact normalizer,
+    :func:`_exact_log_normalizers`, decides every row whose window meets the
+    best row's, and every row whose screen score is not finite; usually a row
+    or two a pass.  :func:`_exact_score` scores a decided row on the data
+    term the screen used, which has the bits :func:`_exact_objective` would
+    compute again for that row.  A row with no representable mixture mass
+    scores -inf in both kernels and is never decided.  At ``beta_a = 0`` every
+    row ties, so every row is decided, at the cost of the whole pass.  If
+    every decided row scores -inf, every other row is scored too.
     """
     points = grid.points
     params = _search_rows(axes)
@@ -485,8 +506,8 @@ def _exact_pass(axes: Sequence[np.ndarray], lik1: np.ndarray, grid: ThetaGrid, q
 
     def decide(rows: np.ndarray) -> None:
         if rows.size:
-            values[rows] = _exact_objective(
-                params[rows], lik1, points, beta_a,
+            values[rows] = _exact_score(
+                data[rows], empty[rows], beta_a,
                 _exact_log_normalizers(params[rows], grid, qg, form, beta_a), n_queries)
 
     decide(np.flatnonzero(decided))

@@ -966,6 +966,44 @@ class TestScreenedExactSearch:
         self._search(monkeypatch, self.DATA_A, "absolute_distance", 50.0)
         assert rows == []
 
+    @pytest.mark.parametrize("n_points", [7, 8])
+    @pytest.mark.parametrize("form", REWARD_FORMS)
+    def test_screen_tracks_the_exact_normalizer(self, form, n_points):
+        # The screen counts each pair with x1 < x2 for its swap too, and each
+        # diagonal as gain 0; the exact kernel computes all C gains.  They
+        # differ by about 1e-14 of log Z, far inside the window.
+        qg = QueryGrid(-6.0, 6.0, n_points)
+        cfg = self.CFG
+        axes = agents._coarse_axes((cfg.mu1, cfg.mu2, cfg.sigma1, cfg.sigma2, cfg.p_z))
+        axes[2], axes[3] = np.exp(axes[2]), np.exp(axes[3])
+        params = agents._search_rows(axes)
+        has_mass = agents._mixture_mass_batch(params, self.TG.points).sum(axis=1) > 0.0
+        assert np.all(has_mass)
+        for beta in (0.0, 50.0, 1e4, 1e8, 1e308):
+            screen = agents._screen_log_normalizers(axes, self.TG, qg, form, beta)
+            exact = _exact_log_normalizers(params, self.TG, qg, form, beta)
+            assert np.all(np.isfinite(exact))
+            gap = np.abs(screen - exact)
+            assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(exact))), beta
+
+    def test_screen_reads_each_unordered_pair_once(self, monkeypatch):
+        real_gains, real_screen = agents._mixture_gains, agents._screen_log_normalizers
+        passes = []
+
+        def screen(*args):
+            passes.append([])
+            return real_screen(*args)
+
+        def gains(axes, points, lik, h_lik):
+            passes[-1].append(lik.shape[0])
+            return real_gains(axes, points, lik, h_lik)
+
+        monkeypatch.setattr(agents, "_screen_log_normalizers", screen)
+        monkeypatch.setattr(agents, "_mixture_gains", gains)
+        mle_belief(self.DATA_A, self.CFG, self.QG, self.TG, "absolute_distance", True, 50.0)
+        n = self.QG.n_per_axis
+        assert [sum(rows) for rows in passes] == [n * (n - 1) // 2] * (1 + self.CFG.n_refine_iters)
+
     def test_packaged_search_decides_a_row_or_two_a_pass(self, monkeypatch):
         cfg = bimodal_config(0)
         queries = sample_queries(cfg, discretize_belief(cfg.prior, cfg.theta_grid))
