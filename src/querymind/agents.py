@@ -11,7 +11,6 @@ the literal and the identifiability-seeking asker.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -58,10 +57,10 @@ from .inference import (
 # exact data term, batch * n_queries * 8 bytes in a summed block of whole
 # (mu1, mu2) pairs and batch * _TABLE_BLOCK * 8 bytes in a block of the exact
 # screen, which gathers the likelihood rows of its block's pairs into one
-# reused (_TABLE_BLOCK, K) buffer.  The exact normalizer goes one row at a time and reads the
-# grid's cached ``L`` in ``_TABLE_BLOCK``-candidate slices, so each worker holds
-# a few (_TABLE_BLOCK, K) temporaries and one (C,) gain map, whatever the query
-# grid's size (:func:`_exact_log_normalizers`).
+# reused (_TABLE_BLOCK, K) buffer.  The exact normalizer goes one row at a time
+# and reads the grid's cached ``L`` in ``_TABLE_BLOCK``-candidate slices, so a
+# call holds a few (_TABLE_BLOCK, K) temporaries and one (C,) gain map, whatever
+# the query grid's size (:func:`_exact_log_normalizers`).
 _SEARCH_CHUNK = 1024
 
 # Search coordinates are (mu1, mu2, log s1, log s2, p_z): the sigma axes of
@@ -247,9 +246,7 @@ def _coarse_axes(ranges: Sequence[ParamRange]) -> list[np.ndarray]:
 # rounding ties pinned by the benchmark reference: a last bit here can swap two
 # tied candidates.  So a change to this block must keep all 12 ``exact``
 # entries of ``perfbench/reference.json``.  The screen after it only chooses
-# the rows this block scores.  The thread pool is imported inside
-# :func:`_exact_log_normalizers`, so that only exact attribution loads
-# ``concurrent.futures``.
+# the rows this block scores.
 def _mixture_mass_batch(params: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Normalized grid mass for a (B, 5) batch of mixture parameters.
 
@@ -278,7 +275,7 @@ def _mixture_mass_batch(params: np.ndarray, points: np.ndarray) -> np.ndarray:
 def _summed_eig_batch(mass: np.ndarray, lik1: np.ndarray) -> np.ndarray:
     """Sum over queries of the expected information gain for each mass row.
 
-    The data term of :func:`_exact_objective`.  Algebraically the gain map
+    The data term of :func:`_exact_data`.  Algebraically the gain map
     of :func:`_exact_log_normalizers` summed over the (N, K) likelihood rows,
     organized as fused multiply-sums:
     ``H(post_y) = ln p_y - (1/p_y) * sum_k t_yk ln t_yk`` with
@@ -307,13 +304,6 @@ def _summed_eig_batch(mass: np.ndarray, lik1: np.ndarray) -> np.ndarray:
     return total
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _log_sum_exp(z: np.ndarray) -> np.floating:
     """``log sum exp(z)`` of a finite ``z``, its maximum taken out before ``exp``."""
     mx = np.max(z)
@@ -331,44 +321,28 @@ def _exact_log_normalizers(params: np.ndarray, grid: ThetaGrid, qg: QueryGrid, f
     normalization, then entropy, answer 1 before answer 0) against the cached
     (C, K) likelihoods ``L`` of the candidate grid
     (:func:`inference._likelihood_table`), read ``_TABLE_BLOCK`` candidates at
-    a time.  Rows are dealt round-robin to one thread per CPU; each thread
-    holds a few (``_TABLE_BLOCK``, K) temporaries and one (C,) gain map, and
-    computes and writes only its own rows, start to finish, so the thread
-    count never changes a bit.  The table is fetched here, before the
-    workers start.  Workers call only private functions: perfbench's tracer
-    wraps the public ones with one span stack, which a second thread would
-    corrupt.
+    a time, into one (C,) gain map that every row reuses.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     points = grid.points
     lik1 = _likelihood_table(grid, qg, form)
     n_cands = lik1.shape[0]
-    n = params.shape[0]
-    out = np.empty(n)
-    workers = min(_cpu_count(), n)
-
-    def work(first: int) -> None:
-        gain = np.empty(n_cands)
-        # numpy's error state is per thread.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for r in range(first, n, workers):
-                m = _mixture_mass_batch(params[r:r + 1], points)
-                prior_h = -np.sum(_xlogx(m), axis=-1)
-                for start in range(0, n_cands, _TABLE_BLOCK):
-                    rows = slice(start, start + _TABLE_BLOCK)
-                    terms = []
-                    for y in (1, 0):
-                        post, p = _bayes_rule(m, lik1[rows], y)
-                        post /= p[:, None]
-                        h = -np.sum(_xlogx(post), axis=-1)
-                        # An answer with zero predictive probability adds its limit, 0.
-                        terms.append(np.where(p > 0, p * (prior_h - h), 0.0))
-                    gain[rows] = terms[0] + terms[1]
-                out[r] = _log_sum_exp(beta_a * gain)
-
-    with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(work, range(workers)))
+    out = np.empty(params.shape[0])
+    gain = np.empty(n_cands)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r in range(params.shape[0]):
+            m = _mixture_mass_batch(params[r:r + 1], points)
+            prior_h = -np.sum(_xlogx(m), axis=-1)
+            for start in range(0, n_cands, _TABLE_BLOCK):
+                rows = slice(start, start + _TABLE_BLOCK)
+                terms = []
+                for y in (1, 0):
+                    post, p = _bayes_rule(m, lik1[rows], y)
+                    post /= p[:, None]
+                    h = -np.sum(_xlogx(post), axis=-1)
+                    # An answer with zero predictive probability adds its limit, 0.
+                    terms.append(np.where(p > 0, p * (prior_h - h), 0.0))
+                gain[rows] = terms[0] + terms[1]
+            out[r] = _log_sum_exp(beta_a * gain)
     return out
 
 
@@ -387,24 +361,34 @@ def _exact_score(data: np.ndarray, empty: np.ndarray, beta_a: float, log_z: np.n
     return total
 
 
+def _exact_data(params: np.ndarray, lik1: np.ndarray,
+                points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact-mode (B,) data terms ``sum_i EIG(q_i)`` (:func:`_summed_eig_batch`)
+    of the (mu1, s1, mu2, s2, p_z) rows on their mixture mass, floored as a
+    whole, and the (B,) mask of rows with no representable grid mass, scored
+    ``_SEARCH_CHUNK`` rows at a time.  ``lik1`` is (N, K) over the
+    non-diagonal dataset queries (diagonals add zero gain)."""
+    data = np.empty(params.shape[0])
+    empty = np.empty(params.shape[0], dtype=bool)
+    for start in range(0, params.shape[0], _SEARCH_CHUNK):
+        rows = slice(start, start + _SEARCH_CHUNK)
+        mass = _mixture_mass_batch(params[rows], points)
+        data[rows] = _summed_eig_batch(mass, lik1)
+        empty[rows] = mass.sum(axis=1) <= 0.0
+    return data, empty
+
+
 def _exact_objective(params: np.ndarray, lik1: np.ndarray, points: np.ndarray,
                      beta_a: float, log_z: np.ndarray, n_queries: int) -> np.ndarray:
     """Exact-mode score of each (mu1, s1, mu2, s2, p_z) row: the normalized
     log-likelihood of the dataset queries under the softmax query policy.
 
-    That is the data term ``beta_a * sum_i EIG(q_i)`` on the mixture mass,
-    floored as a whole, minus ``n_queries`` times the rows' (B,) normalizers
-    ``log_z`` (:func:`_exact_log_normalizers`), by :func:`_exact_score`.
-    ``lik1`` is (N, K) over the non-diagonal dataset queries (diagonals add
-    zero gain).  A row with no representable grid mass scores -inf.
+    That is the data term ``beta_a * sum_i EIG(q_i)`` (:func:`_exact_data`)
+    minus ``n_queries`` times the rows' (B,) normalizers ``log_z``
+    (:func:`_exact_log_normalizers`), by :func:`_exact_score`.  A row with no
+    representable grid mass scores -inf.
     """
-    out = np.empty(params.shape[0])
-    for start in range(0, params.shape[0], _SEARCH_CHUNK):
-        rows = slice(start, start + _SEARCH_CHUNK)
-        mass = _mixture_mass_batch(params[rows], points)
-        out[rows] = _exact_score(_summed_eig_batch(mass, lik1), mass.sum(axis=1) <= 0.0,
-                                 beta_a, log_z[rows], n_queries)
-    return out
+    return _exact_score(*_exact_data(params, lik1, points), beta_a, log_z, n_queries)
 
 
 def _screen_log_normalizers(axes: Sequence[np.ndarray], grid: ThetaGrid, qg: QueryGrid,
@@ -468,8 +452,8 @@ def _exact_pass(axes: Sequence[np.ndarray], lik1: np.ndarray, grid: ThetaGrid, q
     order are those of the whole pass under :func:`_exact_objective`.
     ``axes`` are the pass's ``(mu1, mu2, sigma1, sigma2, p_z)`` in sigma units.
 
-    Every row is screened first: its data term is :func:`_exact_objective`'s
-    and its normalizer :func:`_screen_log_normalizers`'.  Per query, the
+    Every row is screened first: its data term is :func:`_exact_data`'s and
+    its normalizer :func:`_screen_log_normalizers`'.  Per query, the
     screen score ``beta_a * data / n_queries - log Z`` lies within a window of
     ``_SCREEN_RTOL * (beta_a * |data| / n_queries + |log Z|)`` of the row's
     exact score per query.  The exact normalizer,
@@ -482,15 +466,8 @@ def _exact_pass(axes: Sequence[np.ndarray], lik1: np.ndarray, grid: ThetaGrid, q
     row ties, so every row is decided, at the cost of the whole pass.  If
     every decided row scores -inf, every other row is scored too.
     """
-    points = grid.points
     params = _search_rows(axes)
-    data = np.empty(params.shape[0])
-    empty = np.empty(params.shape[0], dtype=bool)
-    for start in range(0, params.shape[0], _SEARCH_CHUNK):
-        rows = slice(start, start + _SEARCH_CHUNK)
-        mass = _mixture_mass_batch(params[rows], points)
-        data[rows] = _summed_eig_batch(mass, lik1)
-        empty[rows] = mass.sum(axis=1) <= 0.0
+    data, empty = _exact_data(params, lik1, grid.points)
     log_z = _screen_log_normalizers(axes, grid, qg, form, beta_a)
     with np.errstate(invalid="ignore"):
         per_query = beta_a * (data / n_queries)
@@ -567,8 +544,9 @@ def mle_belief(queries: Sequence[Query], cfg: MleSearchConfig, qg: QueryGrid,
 
     A pass scores its axes, sigmas as ``np.exp`` of their log axes, with
     :func:`_summed_objective`, or with :func:`_exact_pass`, which gives the
-    argmax and best value of :func:`_exact_objective` on every row.  The search returns the scored coordinates of the best row
-    and centres the next windows on its log-axis coordinates.
+    argmax and best value of :func:`_exact_objective` on every row.  The
+    search returns the scored coordinates of the best row and centres the
+    next windows on its log-axis coordinates.
     """
     if len(queries) == 0:
         raise InvalidInputError("query dataset must be nonempty")

@@ -634,7 +634,7 @@ def _summed_digests():
 
 
 class TestExactNormalizer:
-    """``_exact_objective`` pinned bit for bit at any thread count.
+    """``_exact_objective`` pinned bit for bit at any BLAS thread count.
 
     The digests were taken with numpy 2.4.6 dispatching to AVX-512 on glibc
     2.36; an AVX2-only dispatch moves them (README, "Pinned bits belong to
@@ -738,7 +738,8 @@ class TestExactNormalizer:
 
     def test_runs_without_scipy(self):
         # Exact attribution, search and scalar score, with any scipy import
-        # raising ImportError.
+        # raising ImportError; it runs in the calling thread, so it loads no
+        # thread pool either.
         code = (
             "import sys\n"
             "sys.modules['scipy'] = None\n"
@@ -753,6 +754,7 @@ class TestExactNormalizer:
             "print(mle_belief(qs, cfg, qg, tg, exact=True).astuple())\n"
             "print(mle_objective(qs, BeliefParams(-3.0, 1.0, 3.0, 1.0, 0.5), qg, tg,\n"
             "                    exact=True))\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(querymind.__file__)))
         done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
@@ -779,20 +781,24 @@ class TestExactNormalizer:
         np.testing.assert_allclose(got[3:], want, rtol=1e-9)
         assert np.any(np.isfinite(got))
 
-    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
-    def test_bytes_do_not_depend_on_worker_count(self, workers, monkeypatch):
-        # More workers than cores and frequent thread switches: a row left
-        # unwritten, or computed in a buffer another worker shares, would
-        # change the digest.
-        monkeypatch.setattr(agents, "_cpu_count", lambda: workers)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for form in REWARD_FORMS:
-                got = self._scores(form)
-                assert hashlib.sha256(got.tobytes()).hexdigest() == self.DIGESTS[form]
-        finally:
-            sys.setswitchinterval(interval)
+    @pytest.mark.parametrize("batch", [1, 2, 3, 8])
+    def test_bytes_do_not_depend_on_batch_size(self, batch, monkeypatch):
+        # The normalizer reuses one gain map for all its rows and the data
+        # term runs in _SEARCH_CHUNK slices: a row that read another row's
+        # gains, or a chunk boundary that moved a bit, would change the digest.
+        monkeypatch.setattr(agents, "_SEARCH_CHUNK", batch)
+        cfg = bimodal_config(0)
+        queries = sample_queries(cfg, discretize_belief(cfg.prior, cfg.theta_grid))
+        points = cfg.theta_grid.points
+        rows = self._rows()
+        for form in REWARD_FORMS:
+            log_z = np.concatenate([
+                _exact_log_normalizers(rows[start:start + batch], cfg.theta_grid,
+                                       cfg.query_grid, form, cfg.beta_a)
+                for start in range(0, rows.shape[0], batch)])
+            got = _exact_objective(rows, _dataset_likelihoods(queries, points, form),
+                                   points, cfg.beta_a, log_z, len(queries))
+            assert hashlib.sha256(got.tobytes()).hexdigest() == self.DIGESTS[form]
 
     def test_bytes_identical_across_blas_thread_counts(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(querymind.__file__)))

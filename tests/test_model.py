@@ -125,8 +125,8 @@ class TestLogistic:
         assert grid.shape == (100, 200) and grid.tobytes() == got.tobytes()
 
     def test_importing_the_package_does_not_load_scipy_special(self):
-        # The package imports no scipy module at all, and only exact
-        # attribution needs the thread pool, which it imports where it runs.
+        # The package imports no scipy module at all, and no thread pool:
+        # every path, exact attribution included, runs in the calling thread.
         src = os.path.dirname(os.path.dirname(os.path.abspath(querymind.__file__)))
         code = ("import sys, querymind, querymind.cli\n"
                 "print([m for m in sys.modules\n"
